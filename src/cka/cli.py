@@ -14,13 +14,14 @@ those spellings are ordinary one-event labels.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .expr import ExprError, evaluate, parse, tokenize
-from .language import language
+from .language import WordAutomaton
 from .partial_string import (
     DependenceRelation,
     InvalidPartialString,
@@ -182,12 +183,14 @@ def cmd_lang(args) -> int:
     if args.max_display is not None and args.max_display < 0:
         raise ValueError("--max-display must be nonnegative")
     compose = _seq_compose(args.weak_dep)
-    words = sorted(language(_eval_operand(args.expr, compose)))
-    shown = words if args.max_display is None else words[: args.max_display]
-    for word in shown:
+    automaton = WordAutomaton(_eval_operand(args.expr, compose).generators)
+    total = automaton.count()
+    shown = 0
+    for word in itertools.islice(automaton.words(ordered=True), args.max_display):
         print(" ".join(word))
-    if len(shown) < len(words):
-        print(f"# {len(words) - len(shown)} more words omitted")
+        shown += 1
+    if shown < total:
+        print(f"# {total - shown} more words omitted")
     return 0
 
 

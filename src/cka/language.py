@@ -4,46 +4,136 @@ A word is a total-order flattening of a partial string; the language of a
 program collects the words of its generators.  Inclusion of languages is
 strictly coarser than inclusion of programs: refinement implies language
 containment but not conversely.
+
+Words are read off one deterministic automaton per program, built lazily
+by subset construction over the lattice of consumed down-sets (De Loof,
+De Meyer & De Baets, "Exploiting the lattice of ideals representation of
+a poset", 2006).  A state is the set of (generator, consumed down-set)
+items that one prefix word reaches, so each distinct word is exactly one
+path and the number of states never exceeds the number of distinct
+prefixes.  Words therefore need no deduplication, the total is a path
+count memoised per state and is found without listing the words, and a
+walk taking labels in sorted order yields the words in sorted order.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 from .partial_string import Label, PartialString, _bits
 from .program import Program
 
 Word = tuple[Label, ...]
+State = frozenset[int]
+
+
+class WordAutomaton:
+    """Deterministic automaton accepting exactly the words of some generators.
+
+    An item is one int: the consumed down-set of generator ``gi``, shifted
+    left past the low bits that hold ``gi``.  The start state holds every
+    generator with nothing consumed; a state accepts when one of its items
+    has consumed its whole generator; the edge on label ``l`` consumes,
+    in every item, any minimal unconsumed event labelled ``l``.  No edge
+    leads to the empty state, so every state reaches acceptance.
+    """
+
+    def __init__(self, generators: Sequence[PartialString]) -> None:
+        shift = (len(generators) - 1).bit_length() if generators else 0
+        self._low = (1 << shift) - 1
+        # Per generator and event: (its bit | its predecessor bits, the
+        # predecessor bits, its label), all shifted like an item.
+        self._events: list[list[tuple[int, int, Label]]] = []
+        accept = []
+        for gi, g in enumerate(generators):
+            n = g.n_events
+            preds = [0] * n
+            for i in range(n):
+                for j in _bits(g.order[i] & ~(1 << i)):
+                    preds[j] |= 1 << i
+            # Events with equal label, strict down-set and strict up-set
+            # are interchangeable: taking them in index order keeps every
+            # word and leaves one item where there were many.
+            last: dict[tuple, int] = {}
+            events = []
+            for e in range(n):
+                key = (g.labels[e], preds[e], g.order[e] ^ (1 << e))
+                twin = last.get(key)
+                last[key] = e
+                pred = preds[e] if twin is None else preds[e] | 1 << twin
+                bit = 1 << e << shift
+                events.append((bit | pred << shift, pred << shift, g.labels[e]))
+            self._events.append(events)
+            accept.append(((1 << n) - 1) << shift | gi)
+        self._accept = frozenset(accept)
+        self.start: State = frozenset(range(len(generators)))
+        self._succ: dict[State, dict[Label, State]] = {}
+
+    def accepts(self, state: State) -> bool:
+        """True when the prefix leading to ``state`` is itself a word."""
+        return not self._accept.isdisjoint(state)
+
+    def successors(self, state: State) -> dict[Label, State]:
+        """Outgoing edges of ``state``, built on first use."""
+        succ = self._succ.get(state)
+        if succ is None:
+            moves: dict[Label, list[int]] = {}
+            low, events = self._low, self._events
+            for item in state:
+                for need, pred, label in events[item & low]:
+                    if item & need == pred:
+                        if label in moves:
+                            moves[label].append(item | need)
+                        else:
+                            moves[label] = [item | need]
+            succ = {label: frozenset(items) for label, items in moves.items()}
+            self._succ[state] = succ
+        return succ
+
+    def words(self, ordered: bool = False) -> Iterator[Word]:
+        """Every accepted word once, in ``sorted`` order when ``ordered``.
+
+        A pre-order walk: a prefix that is a word comes before its
+        extensions, and children follow in label order.
+        """
+        accepts, successors = self.accepts, self.successors
+        stack: list[tuple[Word, State]] = [((), self.start)]
+        while stack:
+            word, state = stack.pop()
+            if accepts(state):
+                yield word
+            edges = successors(state).items()
+            if ordered:
+                edges = sorted(edges, reverse=True)
+            for label, nxt in edges:
+                stack.append((word + (label,), nxt))
+
+    def count(self) -> int:
+        """Number of accepted words, without listing any of them."""
+        paths: dict[State, int] = {}
+        stack = [self.start]
+        while stack:
+            state = stack[-1]
+            if state in paths:
+                stack.pop()
+                continue
+            succ = self.successors(state).values()
+            todo = [nxt for nxt in succ if nxt not in paths]
+            if todo:
+                stack.extend(todo)
+                continue
+            paths[state] = self.accepts(state) + sum(paths[nxt] for nxt in succ)
+            stack.pop()
+        return paths[self.start]
 
 
 def linearize(x: PartialString) -> frozenset[Word]:
     """Label sequences of every linear extension of ``x``'s order.
 
-    Enumerates by repeatedly removing a minimal element.  Distinct
-    extensions with equal label sequences collapse into one word.
+    Distinct extensions with equal label sequences share one path of the
+    automaton, so each word is built once.
     """
-    n = x.n_events
-    preds = [0] * n
-    for i in range(n):
-        for j in _bits(x.order[i] & ~(1 << i)):
-            preds[j] |= 1 << i
-    out: set[Word] = set()
-    prefix: list[Label] = []
-
-    def extend(remaining: int) -> None:
-        if not remaining:
-            out.add(tuple(prefix))
-            return
-        m = remaining
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            if preds[e] & remaining == 0:
-                prefix.append(x.labels[e])
-                extend(remaining ^ low)
-                prefix.pop()
-
-    extend((1 << n) - 1)
-    return frozenset(out)
+    return frozenset(WordAutomaton((x,)).words())
 
 
 def language(p: Program) -> frozenset[Word]:
@@ -52,12 +142,31 @@ def language(p: Program) -> frozenset[Word]:
     The union over generators is complete: a word refining a closure
     member refines, by transitivity, the generator above it.
     """
-    words: set[Word] = set()
-    for g in p.generators:
-        words |= linearize(g)
-    return frozenset(words)
+    return frozenset(WordAutomaton(p.generators).words())
 
 
 def lang_subset(p: Program, q: Program) -> bool:
-    """Language containment (implied by program inclusion, weaker than it)."""
-    return language(p) <= language(q)
+    """Language containment (implied by program inclusion, weaker than it).
+
+    Walks both automata in lockstep and stops at the first pair of states
+    where ``p`` accepts and ``q`` does not, or ``p`` has an edge ``q``
+    lacks.  Every state of ``p`` reaches acceptance, so either exit names
+    a word of ``p`` missing from ``q``.
+    """
+    ap, aq = WordAutomaton(p.generators), WordAutomaton(q.generators)
+    start = (ap.start, aq.start)
+    seen = {start}
+    stack = [start]
+    while stack:
+        sp, sq = stack.pop()
+        if ap.accepts(sp) and not aq.accepts(sq):
+            return False
+        succ_q = aq.successors(sq)
+        for label, np in ap.successors(sp).items():
+            nq = succ_q.get(label)
+            if nq is None:
+                return False
+            if (np, nq) not in seen:
+                seen.add((np, nq))
+                stack.append((np, nq))
+    return True

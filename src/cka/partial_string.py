@@ -451,10 +451,15 @@ def from_text(text: str) -> PartialString:
 
 
 def to_dot(x: PartialString, name: str = "pomset") -> str:
-    """Cover relation as a DOT digraph, earlier events drawn above later ones."""
+    """Cover relation as a DOT digraph, earlier events drawn above later ones.
+
+    Backslashes and double quotes in labels are escaped, so any label the
+    text format accepts stays inside its quoted DOT string.
+    """
     lines = [f"digraph {name} {{"]
     for i, lab in enumerate(x.labels):
-        lines.append(f'  e{i} [label="{i}:{lab}"];')
+        quoted = lab.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  e{i} [label="{i}:{quoted}"];')
     for i, j in hasse(x):
         lines.append(f"  e{i} -> e{j};")
     lines.append("}")

@@ -18,7 +18,15 @@ from cka import (
     star,
     subset,
 )
-from cka.testkit import GenConfig, _sample_program, _sample_string
+from cka.cli import _eval_operand, main
+from cka.language import WordAutomaton
+from cka.testkit import (
+    GenConfig,
+    _count_extensions_brute,
+    _sample_program,
+    _sample_string,
+    enumerate_all,
+)
 
 
 def brute_words(x):
@@ -33,6 +41,11 @@ def brute_words(x):
         if all(pos[i] < pos[j] for i, j in strict):
             words.add(tuple(x.labels[e] for e in perm))
     return frozenset(words)
+
+
+def random_pairs(rng, n):
+    """Strict pairs i < j, each present with probability 0.3."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
 
 
 def test_linearize_two_antichain():
@@ -54,6 +67,44 @@ def test_linearize_matches_permutation_oracle():
     for _ in range(40):
         x = _sample_string(rng, cfg)
         assert linearize(x) == brute_words(x)
+
+
+def test_linearize_matches_permutation_oracle_on_exhaustive_corpus():
+    for x in enumerate_all(4, "ab"):
+        assert linearize(x) == brute_words(x)
+
+
+def test_linearize_matches_permutation_oracle_on_six_and_seven_events():
+    rng = random.Random(24)
+    for _ in range(12):
+        n = rng.choice((6, 7))
+        x = from_strict_pairs([rng.choice("abc") for _ in range(n)], random_pairs(rng, n))
+        assert linearize(x) == brute_words(x)
+
+
+def test_linearize_long_chain_does_not_recurse():
+    assert linearize(chain("a" * 1500)) == {("a",) * 1500}
+
+
+def test_word_count_matches_language_on_multi_generator_programs():
+    rng = random.Random(25)
+    cfg = GenConfig(max_events=4, alphabet=("a", "b", "c"), edge_probability=0.3, seed=25)
+    multi = 0
+    for _ in range(60):
+        p = _sample_program(rng, cfg, max_generators=4, max_events=4)
+        multi += len(p.generators) > 1
+        automaton = WordAutomaton(p.generators)
+        assert automaton.count() == len(language(p))
+        assert list(automaton.words(ordered=True)) == sorted(language(p))
+    assert multi >= 20
+
+
+def test_word_count_matches_extension_count_for_distinct_labels():
+    rng = random.Random(26)
+    for _ in range(30):
+        n = rng.randint(0, 7)
+        x = from_strict_pairs([f"t{i}" for i in range(n)], random_pairs(rng, n))
+        assert WordAutomaton((x,)).count() == _count_extensions_brute(x)
 
 
 def test_every_linearization_refines_the_source():
@@ -94,6 +145,32 @@ def test_program_subset_implies_language_subset():
         q = punion(p, _sample_program(rng, cfg))
         assert subset(p, q)
         assert lang_subset(p, q)
+
+
+def test_lang_subset_matches_language_inclusion():
+    rng = random.Random(27)
+    cfg = GenConfig(max_events=3, alphabet=("a", "b"), edge_probability=0.4, seed=27)
+    outcomes = set()
+    for _ in range(200):
+        p = _sample_program(rng, cfg, max_events=4)
+        q = _sample_program(rng, cfg, max_events=4)
+        expected = language(p) <= language(q)
+        assert lang_subset(p, q) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_lang_output_is_the_sorted_language(capsys):
+    for expr in ("0", "1", "P4", "seqstar(a+b,3)", "a;b+b;a"):
+        words = sorted(language(_eval_operand(expr, seq)))
+        for limit in (None, 0, 1, 3):
+            shown = words if limit is None else words[:limit]
+            expected = "".join(" ".join(word) + "\n" for word in shown)
+            if len(shown) < len(words):
+                expected += f"# {len(words) - len(shown)} more words omitted\n"
+            argv = ["lang", expr] + ([] if limit is None else ["--max-display", str(limit)])
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
 
 
 def test_language_subset_does_not_imply_program_subset():

@@ -344,3 +344,9 @@ def test_to_dot_n_shape():
         "  e1 -> e3;\n"
         "}"
     )
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    dot = to_dot(from_text('events: a"x b\\y'))
+    assert '  e0 [label="0:a\\"x"];' in dot.splitlines()
+    assert '  e1 [label="1:b\\\\y"];' in dot.splitlines()
