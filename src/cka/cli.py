@@ -2,7 +2,8 @@
 
 Subcommands: refines, equal, member, lang, dot, laws, star.  Exit code 0
 means the query holds, 1 means it fails, 2 means the input was rejected
-(lexical, syntax, file or validation error).
+(lexical, syntax, file or validation error, or nesting too deep to
+evaluate).
 
 Two pre-built four-event partial strings are available as complete
 operands: ``P4``, two independent two-chains with labels a,b each, and
@@ -14,10 +15,10 @@ those spellings are ordinary one-event labels.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .expr import ExprError, evaluate, parse, tokenize
@@ -25,7 +26,6 @@ from .language import WordAutomaton
 from .partial_string import (
     DependenceRelation,
     InvalidPartialString,
-    Morphism,
     PartialString,
     TextFormatError,
     chain,
@@ -49,15 +49,6 @@ from .program import (
 from .testkit import GenConfig, law_suite
 
 DEFAULT_SEED = 271828
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one query: holds/fails, optional witness, elapsed time."""
-
-    outcome: str
-    witness: Optional[Morphism] = None
-    elapsed_ms: float = 0.0
 
 
 def example_strings() -> dict[str, PartialString]:
@@ -113,40 +104,33 @@ def _load_file(path: str) -> PartialString:
         return from_text(handle.read())
 
 
-def _print_verdict(verdict: Verdict, src: PartialString | None, tgt: PartialString | None) -> None:
-    print(verdict.outcome)
-    if verdict.witness is not None:
-        if src is None or tgt is None or not verdict.witness.is_valid(src, tgt):
-            raise RuntimeError("witness failed revalidation")
-        pairs = " ".join(f"{i}->{t}" for i, t in enumerate(verdict.witness.mapping))
-        print(f"witness: {pairs}")
-    print(f"elapsed-ms: {verdict.elapsed_ms:.3f}")
+def _print_verdict(holds: bool, start: float, witness: Optional[str] = None) -> int:
+    """Print the outcome, an optional witness line and the elapsed time."""
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    print("holds" if holds else "fails")
+    if witness is not None:
+        print(f"witness: {witness}")
+    print(f"elapsed-ms: {elapsed_ms:.3f}")
+    return 0 if holds else 1
 
 
 def cmd_refines(args) -> int:
     compose = _seq_compose(args.weak_dep)
     start = time.perf_counter()
-    if args.pomset:
-        left = _single_generator(_eval_operand(args.left, compose), "left operand")
-        right = _single_generator(_eval_operand(args.right, compose), "right operand")
-        witness = find_morphism(right, left)
-        verdict = Verdict(
-            "holds" if witness is not None else "fails",
-            witness,
-            (time.perf_counter() - start) * 1000.0,
-        )
-        _print_verdict(verdict, right, left)
-    else:
+    if not args.pomset:
         holds = subset(
             _eval_operand(args.left, compose), _eval_operand(args.right, compose)
         )
-        verdict = Verdict(
-            "holds" if holds else "fails",
-            None,
-            (time.perf_counter() - start) * 1000.0,
-        )
-        _print_verdict(verdict, None, None)
-    return 0 if verdict.outcome == "holds" else 1
+        return _print_verdict(holds, start)
+    left = _single_generator(_eval_operand(args.left, compose), "left operand")
+    right = _single_generator(_eval_operand(args.right, compose), "right operand")
+    witness = find_morphism(right, left)
+    if witness is None:
+        return _print_verdict(False, start)
+    if not witness.is_valid(right, left):
+        raise RuntimeError("witness failed revalidation")
+    pairs = " ".join(f"{i}->{t}" for i, t in enumerate(witness.mapping))
+    return _print_verdict(True, start, pairs)
 
 
 def cmd_equal(args) -> int:
@@ -155,11 +139,7 @@ def cmd_equal(args) -> int:
     holds = equals(
         _eval_operand(args.left, compose), _eval_operand(args.right, compose)
     )
-    verdict = Verdict(
-        "holds" if holds else "fails", None, (time.perf_counter() - start) * 1000.0
-    )
-    _print_verdict(verdict, None, None)
-    return 0 if holds else 1
+    return _print_verdict(holds, start)
 
 
 def cmd_member(args) -> int:
@@ -241,6 +221,7 @@ def _add_weak_dep(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cka",
@@ -307,6 +288,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (ExprError, TextFormatError, InvalidPartialString, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
 
 

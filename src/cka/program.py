@@ -16,7 +16,6 @@ from .partial_string import (
     PartialString,
     empty,
     from_text,
-    isomorphic,
     refines,
     to_text,
     validate,
@@ -55,30 +54,28 @@ def _gen_key(g: PartialString) -> tuple[int, str]:
 def normalize_program(p: Program) -> Program:
     """Antichain form: drop duplicates, isomorphic copies and absorbed generators.
 
-    Among mutually refining (hence isomorphic) generators the one with
-    the smaller serialized form survives, which makes the output
-    deterministic.  Semantics are unchanged: the result is equal to the
-    input under :func:`equals`.
+    One pass over the distinct generators sorted by serialized form.  A
+    refinement needs equal event counts and label multisets, so only
+    generators in the same such bucket are compared.  A generator is
+    dropped when it refines another that sorts earlier (mutual refinement
+    is isomorphism, so the earliest copy survives) or that it lies
+    strictly below.  The output is deterministic and equal to the input
+    under :func:`equals`.
     """
-    gens = list(dict.fromkeys(p.generators))
-    reps: list[PartialString] = []
-    sigs: list[tuple] = []
+    gens = sorted(dict.fromkeys(p.generators), key=_gen_key)
+    buckets: dict[tuple, list[PartialString]] = {}
     for g in gens:
-        sig = (g.n_events, tuple(sorted(g.labels)), g.order_pair_count())
-        for k, rep in enumerate(reps):
-            if sigs[k] == sig and isomorphic(g, rep):
-                if _gen_key(g) < _gen_key(rep):
-                    reps[k] = g
-                break
-        else:
-            reps.append(g)
-            sigs.append(sig)
-    keep = [
+        buckets.setdefault((g.n_events, tuple(sorted(g.labels))), []).append(g)
+    kept = {
         g
-        for i, g in enumerate(reps)
-        if not any(i != j and refines(g, reps[j]) for j in range(len(reps)))
-    ]
-    return Program(tuple(sorted(keep, key=_gen_key)))
+        for bucket in buckets.values()
+        for i, g in enumerate(bucket)
+        if not any(
+            j != i and refines(g, h) and (j < i or not refines(h, g))
+            for j, h in enumerate(bucket)
+        )
+    }
+    return Program(tuple(g for g in gens if g in kept))
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:

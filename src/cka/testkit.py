@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .language import lang_subset, language, linearize
 from .partial_string import (
@@ -78,6 +78,27 @@ def _label_groups(labels: Sequence[Label]) -> dict[Label, list[int]]:
     return groups
 
 
+def _bijections(src: PartialString, tgt: PartialString) -> Iterator[list[int]]:
+    """Every label-preserving bijection from ``src``'s events onto ``tgt``'s.
+
+    Yields ``mapping`` lists with ``mapping[i]`` the image of event ``i``;
+    yields nothing when the label multisets differ.
+    """
+    gs = _label_groups(src.labels)
+    gt = _label_groups(tgt.labels)
+    if src.n_events != tgt.n_events or any(
+        len(gs[lab]) != len(gt.get(lab, ())) for lab in gs
+    ):
+        return
+    labs = sorted(gs)
+    for combo in itertools.product(*(itertools.permutations(gt[lab]) for lab in labs)):
+        mapping = [0] * src.n_events
+        for lab, images in zip(labs, combo):
+            for src_ev, tgt_ev in zip(gs[lab], images):
+                mapping[src_ev] = tgt_ev
+        yield mapping
+
+
 def brute_force_refines(x: PartialString, y: PartialString) -> bool:
     """Refinement decided by exhaustive enumeration.
 
@@ -86,52 +107,22 @@ def brute_force_refines(x: PartialString, y: PartialString) -> bool:
     events by label.  Intended for small operands (at most about seven
     events per side).
     """
-    n = x.n_events
-    if y.n_events != n:
-        return False
-    gx = _label_groups(x.labels)
-    gy = _label_groups(y.labels)
-    if set(gx) != set(gy) or any(len(gx[l]) != len(gy[l]) for l in gx):
-        return False
-    labs = sorted(gy)
-    per_label = [itertools.permutations(gx[l]) for l in labs]
-    for combo in itertools.product(*per_label):
-        mapping = [0] * n
-        for lab_idx, lab in enumerate(labs):
-            for src_ev, tgt_ev in zip(gy[lab], combo[lab_idx]):
-                mapping[src_ev] = tgt_ev
-        if all(
-            not y.leq(i, j) or x.leq(mapping[i], mapping[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            return True
-    return False
+    n = y.n_events
+    return any(
+        all(
+            not y.leq(i, j) or x.leq(m[i], m[j]) for i in range(n) for j in range(n)
+        )
+        for m in _bijections(y, x)
+    )
 
 
 def _brute_force_isomorphic(x: PartialString, y: PartialString) -> bool:
     """Order-isomorphism by exhaustive search (order preserved both ways)."""
     n = x.n_events
-    if y.n_events != n:
-        return False
-    gx = _label_groups(x.labels)
-    gy = _label_groups(y.labels)
-    if set(gx) != set(gy) or any(len(gx[l]) != len(gy[l]) for l in gx):
-        return False
-    labs = sorted(gx)
-    per_label = [itertools.permutations(gy[l]) for l in labs]
-    for combo in itertools.product(*per_label):
-        mapping = [0] * n
-        for lab_idx, lab in enumerate(labs):
-            for src_ev, tgt_ev in zip(gx[lab], combo[lab_idx]):
-                mapping[src_ev] = tgt_ev
-        if all(
-            x.leq(i, j) == y.leq(mapping[i], mapping[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            return True
-    return False
+    return any(
+        all(x.leq(i, j) == y.leq(m[i], m[j]) for i in range(n) for j in range(n))
+        for m in _bijections(x, y)
+    )
 
 
 def _count_extensions_brute(x: PartialString) -> int:

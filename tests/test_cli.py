@@ -274,3 +274,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "holds"
+
+
+def test_long_operator_chain_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "lang", ";".join(["a"] * 3000))
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nests too deeply\n"
+
+
+def test_deep_parentheses_are_input_error(capsys):
+    code, out, err = run_cli(capsys, "lang", "(" * 3000 + "a" + ")" * 3000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nests too deeply\n"

@@ -22,7 +22,14 @@ from cka import (
     subset,
     zero,
 )
-from cka.testkit import GenConfig, _sample_program
+from cka.program import _gen_key
+from cka.testkit import (
+    GenConfig,
+    _permuted,
+    _sample_program,
+    _sample_string,
+    brute_force_refines,
+)
 
 
 def ab_seq():
@@ -80,6 +87,30 @@ def test_normalize_preserves_semantics_random():
     for _ in range(30):
         raw = _sample_program(rng, cfg, max_generators=4)
         assert equals(raw, normalize_program(raw))
+
+
+def test_normalize_generators_match_brute_force_oracle():
+    rng = random.Random(21)
+    cfg = GenConfig(max_events=3, alphabet=("a", "b"), edge_probability=0.4, seed=21)
+    for _ in range(200):
+        gens = [_sample_string(rng, cfg) for _ in range(rng.randint(0, 5))]
+        gens += [_permuted(rng, g) for g in gens if rng.random() < 0.5]
+        rng.shuffle(gens)
+        distinct = set(gens)
+        expected = sorted(
+            (
+                g
+                for g in distinct
+                if not any(
+                    h != g
+                    and brute_force_refines(g, h)
+                    and (_gen_key(h) < _gen_key(g) or not brute_force_refines(h, g))
+                    for h in distinct
+                )
+            ),
+            key=_gen_key,
+        )
+        assert normalize_program(Program(tuple(gens))).generators == tuple(expected)
 
 
 def test_normalize_is_idempotent_on_representations():

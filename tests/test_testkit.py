@@ -18,7 +18,13 @@ from cka import (
     singleton,
     validate,
 )
-from cka.testkit import Law, _permuted, _sample_string, _strengthened
+from cka.testkit import (
+    Law,
+    _brute_force_isomorphic,
+    _permuted,
+    _sample_string,
+    _strengthened,
+)
 
 
 def test_brute_force_matches_refines_on_basics():
@@ -34,6 +40,15 @@ def test_brute_force_matches_refines_on_basics():
 def test_brute_force_rejects_mismatched_shapes():
     assert not brute_force_refines(singleton("a"), singleton("b"))
     assert not brute_force_refines(singleton("a"), par(singleton("a"), singleton("a")))
+
+
+def test_brute_force_isomorphic_matches_isomorphic():
+    rng = random.Random(27)
+    corpus = enumerate_all(3, ("a", "b"))
+    for x in corpus:
+        assert _brute_force_isomorphic(x, _permuted(rng, x))
+        for y in corpus:
+            assert _brute_force_isomorphic(x, y) == isomorphic(x, y)
 
 
 def test_enumerate_all_counts():
