@@ -86,7 +86,7 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token(ch, ch, i))
             i += 1
             continue
-        raise LexicalError(f"unexpected character {ch!r}", i)
+        raise LexicalError(f"unexpected character {data[i:].decode()[0]!r}", i)
     toks.append(Token("EOF", "end of input", n))
     return toks
 

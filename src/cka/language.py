@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .partial_string import Label, PartialString, _bits
+from .partial_string import Label, PartialString, _order_tables
 from .program import Program
 
 Word = tuple[Label, ...]
@@ -47,17 +47,14 @@ class WordAutomaton:
         accept = []
         for gi, g in enumerate(generators):
             n = g.n_events
-            preds = [0] * n
-            for i in range(n):
-                for j in _bits(g.order[i] & ~(1 << i)):
-                    preds[j] |= 1 << i
+            _, _, preds, succs = _order_tables(g)
             # Events with equal label, strict down-set and strict up-set
             # are interchangeable: taking them in index order keeps every
             # word and leaves one item where there were many.
             last: dict[tuple, int] = {}
             events = []
             for e in range(n):
-                key = (g.labels[e], preds[e], g.order[e] ^ (1 << e))
+                key = (g.labels[e], preds[e], succs[e])
                 twin = last.get(key)
                 last[key] = e
                 pred = preds[e] if twin is None else preds[e] | 1 << twin

@@ -15,7 +15,6 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -74,11 +73,8 @@ class PartialString:
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs with the reflexive diagonal removed."""
-        return [
-            (i, j)
-            for i in range(self.n_events)
-            for j in _bits(self.order[i] & ~(1 << i))
-        ]
+        _, _, _, up = _order_tables(self)
+        return [(i, j) for i, row in enumerate(up) for j in _bits(row)]
 
     def order_pair_count(self) -> int:
         """Number of order pairs, reflexive pairs included."""
@@ -271,93 +267,88 @@ def weakseq(
 
 
 @functools.lru_cache(maxsize=65536)
-def _morphism_tables(ps: PartialString):
-    """Strict down/up masks per event plus their label multisets."""
-    n = ps.n_events
-    down = [0] * n
-    up = [0] * n
-    for i in range(n):
-        for j in _bits(ps.order[i] & ~(1 << i)):
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-    dprof = tuple(Counter(ps.labels[j] for j in _bits(m)) for m in down)
-    uprof = tuple(Counter(ps.labels[j] for j in _bits(m)) for m in up)
-    return tuple(down), tuple(up), dprof, uprof
+def _order_tables(
+    ps: PartialString,
+) -> tuple[tuple[Label, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """Sorted labels, strict pair count, and strict down and up masks per event."""
+    up = [row & ~(1 << i) for i, row in enumerate(ps.order)]
+    down = [0] * len(up)
+    pairs = 0
+    # Bits walked inline, not with _bits: every fresh string that to_text
+    # serializes builds this table once.
+    for i, row in enumerate(up):
+        pairs += row.bit_count()
+        bit = 1 << i
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(sorted(ps.labels)), pairs, tuple(down), tuple(up)
 
 
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     """Exact search for a monotone label-preserving bijection src to tgt.
 
-    Complete backtracking over label-compatible targets.  Pruning uses
-    necessary conditions only: equal label multisets, source order-pair
-    count at most the target's, and per-event dominance of the strict
-    down-set/up-set label multisets (a monotone injection maps the strict
-    down-set of an event into the strict down-set of its image).  Absence
-    is therefore definitive, not heuristic.
+    Complete backtracking with an explicit stack.  Pruning uses necessary
+    conditions only: equal sorted labels, a source strict-pair count at
+    most the target's, and per event an image with the same label whose
+    strict down-set and up-set are at least as large (a monotone injection
+    maps the strict down-set of an event into the strict down-set of its
+    image).  An image is consistent when it lies above the images of the
+    event's placed predecessors and below those of its placed successors.
+    Absence is therefore definitive, not heuristic.
     """
     n = src.n_events
     if tgt.n_events != n:
         return None
-    if n == 0:
-        return Morphism(())
-    if Counter(src.labels) != Counter(tgt.labels):
-        return None
-    if src.order_pair_count() > tgt.order_pair_count():
+    s_labels, s_pairs, s_down, s_up = _order_tables(src)
+    t_labels, t_pairs, t_down, t_up = _order_tables(tgt)
+    if s_labels != t_labels or s_pairs > t_pairs:
         return None
 
-    s_down, s_up, s_dprof, s_uprof = _morphism_tables(src)
-    t_down, t_up, t_dprof, t_uprof = _morphism_tables(tgt)
-
+    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
     cand = []
-    for e in range(n):
+    for label, down, up in zip(src.labels, s_down, s_up):
+        n_down, n_up = down.bit_count(), up.bit_count()
         mask = 0
-        for t in range(n):
-            if (
-                src.labels[e] == tgt.labels[t]
-                and s_dprof[e] <= t_dprof[t]
-                and s_uprof[e] <= t_uprof[t]
-            ):
+        for t, (t_n_down, t_n_up) in enumerate(sizes):
+            if tgt.labels[t] == label and n_down <= t_n_down and n_up <= t_n_up:
                 mask |= 1 << t
         if not mask:
             return None
         cand.append(mask)
 
     todo = sorted(range(n), key=lambda e: (cand[e].bit_count(), e))
-    img = [-1] * n
-    used = 0
-
-    def place(k: int) -> bool:
-        nonlocal used
-        if k == n:
-            return True
-        e = todo[k]
-        options = cand[e] & ~used
-        while options:
-            low = options & -options
-            options ^= low
-            t = low.bit_length() - 1
-            ok = True
-            for e2 in _bits(s_down[e]):
-                m2 = img[e2]
-                if m2 >= 0 and not t_down[t] >> m2 & 1:
-                    ok = False
-                    break
-            if ok:
-                for e2 in _bits(s_up[e]):
-                    m2 = img[e2]
-                    if m2 >= 0 and not t_up[t] >> m2 & 1:
-                        ok = False
-                        break
-            if ok:
-                img[e] = t
-                used |= low
-                if place(k + 1):
-                    return True
-                img[e] = -1
-                used ^= low
-        return False
-
-    return Morphism(tuple(img)) if place(0) else None
+    img = [0] * n
+    placed = used = 0
+    untried: list[int] = []  # consistent images not yet tried, per depth
+    while len(untried) < n:
+        e = todo[len(untried)]
+        below = above = 0
+        for e2 in _bits(s_down[e] & placed):
+            below |= 1 << img[e2]
+        for e2 in _bits(s_up[e] & placed):
+            above |= 1 << img[e2]
+        options = 0
+        for t in _bits(cand[e] & ~used):
+            if not (below & ~t_down[t] or above & ~t_up[t]):
+                options |= 1 << t
+        untried.append(options)
+        # Backtrack: drop exhausted depths, undoing the placement below each.
+        while not untried[-1]:
+            untried.pop()
+            if not untried:
+                return None
+            e = todo[len(untried) - 1]
+            used ^= 1 << img[e]
+            placed ^= 1 << e
+        e = todo[len(untried) - 1]
+        low = untried[-1] & -untried[-1]
+        untried[-1] ^= low
+        img[e] = low.bit_length() - 1
+        used |= low
+        placed |= 1 << e
+    return Morphism(tuple(img))
 
 
 def refines(x: PartialString, y: PartialString) -> bool:
@@ -396,16 +387,15 @@ def exchange_holds(
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
     """Cover pairs: the transitive reduction of the strict order."""
-    n = x.n_events
-    strict = [x.order[i] & ~(1 << i) for i in range(n)]
+    _, _, _, up = _order_tables(x)
     covers = []
-    for i in range(n):
+    for i, row in enumerate(up):
         implied = 0
-        for j in _bits(strict[i]):
-            implied |= strict[j]
-        for j in _bits(strict[i] & ~implied):
+        for j in _bits(row):
+            implied |= up[j]
+        for j in _bits(row & ~implied):
             covers.append((i, j))
-    return sorted(covers)
+    return covers
 
 
 def to_text(x: PartialString) -> str:

@@ -22,6 +22,7 @@ from .partial_string import (
     Label,
     PartialString,
     _bits,
+    _order_tables,
     chain,
     empty,
     exchange_holds,
@@ -178,19 +179,9 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
 
 
 def _iso_signature(ps: PartialString) -> tuple:
-    degs = []
-    for i in range(ps.n_events):
-        down = sum(
-            1 for j in range(ps.n_events) if j != i and ps.order[j] >> i & 1
-        )
-        up = (ps.order[i] & ~(1 << i)).bit_count()
-        degs.append((ps.labels[i], down, up))
-    return (
-        ps.n_events,
-        tuple(sorted(ps.labels)),
-        ps.order_pair_count(),
-        tuple(sorted(degs)),
-    )
+    labels, pairs, down, up = _order_tables(ps)
+    degs = zip(ps.labels, [m.bit_count() for m in down], [m.bit_count() for m in up])
+    return (labels, pairs, tuple(sorted(degs)))
 
 
 def random_partial_string(cfg: GenConfig) -> PartialString:

@@ -52,6 +52,14 @@ def test_tokenize_offsets_are_bytes_not_chars():
     assert err.value.offset == 0
 
 
+def test_tokenize_error_names_the_whole_character():
+    for text, ch in (("a;é", "é"), ("a;→b", "→"), ("a;😀", "😀")):
+        with pytest.raises(LexicalError) as err:
+            tokenize(text)
+        assert err.value.offset == 2
+        assert f"unexpected character {ch!r}" in str(err.value)
+
+
 def test_tokenize_identifiers_and_ints():
     toks = tokenize("ab_1 42")
     assert (toks[0].kind, toks[0].text, toks[0].offset) == ("IDENT", "ab_1", 0)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from cka import (
@@ -20,6 +22,7 @@ from cka import (
     singleton,
     to_dot,
     to_text,
+    transitive_closure,
     validate,
     weakseq,
 )
@@ -244,6 +247,44 @@ def test_refines_four_event_counterexample():
     # agreement with the independent oracle on both orders
     assert not brute_force_refines(p4(), n4())
     assert brute_force_refines(n4(), p4())
+
+
+def _random_order(rng, labels, edge_probability):
+    n = len(labels)
+    layout = rng.sample(range(n), n)
+    rows = [1 << i for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < edge_probability:
+                rows[layout[a]] |= 1 << layout[b]
+    return PartialString(tuple(labels), tuple(transitive_closure(rows)))
+
+
+def test_find_morphism_matches_oracle_on_equal_label_multisets():
+    # Equal event counts and label multisets, so the pairs reach the
+    # candidate filter and the backtracking search instead of stopping
+    # at the cheap pre-checks; a sparse source and a denser target give
+    # both outcomes.
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(300):
+        labels = [rng.choice("ab") for _ in range(rng.choice((6, 7)))]
+        x = _random_order(rng, labels, 0.5)
+        y = _random_order(rng, rng.sample(labels, len(labels)), 0.2)
+        m = find_morphism(y, x)
+        assert (m is not None) == brute_force_refines(x, y)
+        assert m is None or m.is_valid(y, x)
+        if y.order_pair_count() <= x.order_pair_count():
+            outcomes.append(m is not None)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def test_refinement_of_long_strings():
+    word = chain("a" * 1100)
+    assert refines(word, chain("a" * 1100))
+    antichain = functools.reduce(par, [singleton("a")] * 1100)
+    m = find_morphism(antichain, word)
+    assert m is not None and m.is_valid(antichain, word)
 
 
 def test_refines_reflexive_on_examples():

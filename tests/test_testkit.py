@@ -60,6 +60,7 @@ def test_enumerate_all_counts():
     two = enumerate_all(2, ("a",))
     assert sum(1 for x in two if x.n_events == 2) == 2
     assert len(two) == 1 + 1 + 2
+    assert len(enumerate_all(4, ("a", "b"))) == 234
 
 
 def test_enumerate_all_is_pairwise_non_isomorphic():
