@@ -65,12 +65,9 @@ def _seq_compose(weak_dep: Optional[str]):
         return seq
     spec = weak_dep.strip()
     if spec == "full":
-        return lambda x, y: weakseq(
-            x, y, DependenceRelation.full(set(x.labels) | set(y.labels))
-        )
+        return seq
     if spec in ("empty", "none"):
-        relation = DependenceRelation.none()
-        return lambda x, y: weakseq(x, y, relation)
+        return par
     pairs = []
     for item in spec.split(","):
         a, sep, b = item.partition(":")
@@ -91,17 +88,27 @@ def _eval_operand(text: str, seq_compose) -> Program:
     return evaluate(parse(tokenize(text)), seq_compose)
 
 
-def _single_generator(p: Program, what: str) -> PartialString:
+def _one_string(
+    expr: Optional[str], path: Optional[str], weak_dep: Optional[str], what: str
+) -> PartialString:
+    """The single partial string given by an expression or by a --file path.
+
+    ``--weak-dep`` is read only when the expression is evaluated, so it is
+    ignored for a file.
+    """
+    if path is not None:
+        if expr is not None:
+            raise ValueError(f"give either an {what} or --file, not both")
+        with open(path, "r", encoding="utf-8") as handle:
+            return from_text(handle.read())
+    if expr is None:
+        raise ValueError(f"an {what} or --file is required")
+    p = _eval_operand(expr, _seq_compose(weak_dep))
     if len(p.generators) != 1:
         raise ValueError(
             f"{what} must denote a single generator, got {len(p.generators)} generators"
         )
     return p.generators[0]
-
-
-def _load_file(path: str) -> PartialString:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_text(handle.read())
 
 
 def _print_verdict(holds: bool, start: float, witness: Optional[str] = None) -> int:
@@ -122,8 +129,8 @@ def cmd_refines(args) -> int:
             _eval_operand(args.left, compose), _eval_operand(args.right, compose)
         )
         return _print_verdict(holds, start)
-    left = _single_generator(_eval_operand(args.left, compose), "left operand")
-    right = _single_generator(_eval_operand(args.right, compose), "right operand")
+    left = _one_string(args.left, None, args.weak_dep, "left operand")
+    right = _one_string(args.right, None, args.weak_dep, "right operand")
     witness = find_morphism(right, left)
     if witness is None:
         return _print_verdict(False, start)
@@ -144,16 +151,7 @@ def cmd_equal(args) -> int:
 
 def cmd_member(args) -> int:
     compose = _seq_compose(args.weak_dep)
-    if args.file is not None:
-        if args.element is not None:
-            raise ValueError("give either an element expression or --file, not both")
-        element = _load_file(args.file)
-    elif args.element is not None:
-        element = _single_generator(
-            _eval_operand(args.element, compose), "element expression"
-        )
-    else:
-        raise ValueError("an element expression or --file is required")
+    element = _one_string(args.element, args.file, args.weak_dep, "element expression")
     holds = contains(_eval_operand(args.program, compose), element)
     print("holds" if holds else "fails")
     return 0 if holds else 1
@@ -175,15 +173,7 @@ def cmd_lang(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    if args.file is not None:
-        if args.expr is not None:
-            raise ValueError("give either an expression or --file, not both")
-        target = _load_file(args.file)
-    elif args.expr is not None:
-        compose = _seq_compose(args.weak_dep)
-        target = _single_generator(_eval_operand(args.expr, compose), "expression")
-    else:
-        raise ValueError("an expression or --file is required")
+    target = _one_string(args.expr, args.file, args.weak_dep, "expression")
     print(to_dot(target))
     return 0
 

@@ -4,12 +4,21 @@ Grammar, loosest binding to tightest: ``+`` (union), ``|`` (concurrent),
 ``;`` (sequential); all binary operators associate to the left.
 Primaries are label identifiers, the constants ``0`` and ``1``,
 parenthesized terms, and the bounded iteration forms ``seqstar(E, n)``
-and ``parstar(E, n)`` with a positive integer bound.  Errors carry
-0-based byte offsets into the UTF-8 input.
+and ``parstar(E, n)`` with a positive integer bound.
+
+Two tables state the grammar once: ``_BINARY`` lists the binary
+operators' symbols and nodes, loosest first (a symbol's index is its
+precedence), and ``_STARS`` maps each star keyword to its node.  The
+tokenizer, parser and printer all read them.
+
+Errors carry 0-based byte offsets into the UTF-8 input.  A lone
+surrogate (how ``sys.argv`` carries a byte that is not UTF-8) counts as
+the three bytes of its ``surrogatepass`` encoding.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .partial_string import par, seq, singleton
@@ -37,58 +46,6 @@ class Token:
     kind: str  # IDENT, INT, SEQSTAR, PARSTAR, one of ";|+(),", or EOF
     text: str
     offset: int
-
-
-def _is_alpha(b: int) -> bool:
-    return 65 <= b <= 90 or 97 <= b <= 122
-
-
-def _is_ident(b: int) -> bool:
-    return _is_alpha(b) or 48 <= b <= 57 or b == 95
-
-
-def _is_digit(b: int) -> bool:
-    return 48 <= b <= 57
-
-
-_PUNCT = frozenset(";|+(),")
-
-
-def tokenize(text: str) -> list[Token]:
-    """Scan a term into tokens; unexpected bytes raise LexicalError."""
-    data = text.encode("utf-8")
-    toks: list[Token] = []
-    i = 0
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if b in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-            continue
-        if _is_alpha(b):
-            j = i + 1
-            while j < n and _is_ident(data[j]):
-                j += 1
-            word = data[i:j].decode()
-            kind = {"seqstar": "SEQSTAR", "parstar": "PARSTAR"}.get(word, "IDENT")
-            toks.append(Token(kind, word, i))
-            i = j
-            continue
-        if _is_digit(b):
-            j = i + 1
-            while j < n and _is_digit(data[j]):
-                j += 1
-            toks.append(Token("INT", data[i:j].decode(), i))
-            i = j
-            continue
-        ch = chr(b)
-        if ch in _PUNCT:
-            toks.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise LexicalError(f"unexpected character {data[i:].decode()[0]!r}", i)
-    toks.append(Token("EOF", "end of input", n))
-    return toks
 
 
 @dataclass(frozen=True)
@@ -138,6 +95,37 @@ class ParStar:
 
 Expr = Zero | One | Sym | Seq | Par | Union | SeqStar | ParStar
 
+_BINARY = (("+", Union), ("|", Par), (";", Seq))
+_STARS = {"seqstar": SeqStar, "parstar": ParStar}
+
+_TOKEN = re.compile(
+    rb"(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<INT>[0-9]+)|(?P<PUNCT>[%s(),])"
+    rb"|(?P<SPACE>[ \t\n\r]+)|(?P<BAD>.)"
+    % re.escape("".join(symbol for symbol, _ in _BINARY).encode()),
+    re.DOTALL,
+)
+
+
+def tokenize(text: str) -> list[Token]:
+    """Scan a term into tokens; unexpected bytes raise LexicalError."""
+    data = text.encode("utf-8", "surrogatepass")
+    toks: list[Token] = []
+    for m in _TOKEN.finditer(data):
+        kind, i = m.lastgroup, m.start()
+        if kind == "SPACE":
+            continue
+        if kind == "BAD":
+            ch = data[i:].decode("utf-8", "surrogatepass")[0]
+            raise LexicalError(f"unexpected character {ch!r}", i)
+        word = m.group().decode()
+        if kind == "PUNCT":
+            kind = word
+        elif kind == "IDENT" and word in _STARS:
+            kind = word.upper()
+        toks.append(Token(kind, word, i))
+    toks.append(Token("EOF", "end of input", len(data)))
+    return toks
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -154,25 +142,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def union(self) -> Expr:
-        e = self.par()
-        while self.peek().kind == "+":
+    def binary(self, level: int = 0) -> Expr:
+        """A left-associative chain of ``_BINARY[level]`` over tighter operands."""
+        symbol, node = _BINARY[level]
+        last = level + 1 == len(_BINARY)
+        e = self.primary() if last else self.binary(level + 1)
+        while self.peek().kind == symbol:
             self.take()
-            e = Union(e, self.par())
-        return e
-
-    def par(self) -> Expr:
-        e = self.seq()
-        while self.peek().kind == "|":
-            self.take()
-            e = Par(e, self.seq())
-        return e
-
-    def seq(self) -> Expr:
-        e = self.primary()
-        while self.peek().kind == ";":
-            self.take()
-            e = Seq(e, self.primary())
+            e = node(e, self.primary() if last else self.binary(level + 1))
         return e
 
     def primary(self) -> Expr:
@@ -189,13 +166,14 @@ class _Parser:
             raise ParseError(f"unexpected integer {tok.text!r}", tok.offset)
         if tok.kind == "(":
             self.take()
-            e = self.union()
+            e = self.binary()
             self.take(")")
             return e
-        if tok.kind in ("SEQSTAR", "PARSTAR"):
+        node = _STARS.get(tok.kind.lower())
+        if node is not None:
             self.take()
             self.take("(")
-            body = self.union()
+            body = self.binary()
             self.take(",")
             bound_tok = self.take("INT")
             bound = int(bound_tok.text)
@@ -204,16 +182,14 @@ class _Parser:
                     "star bound must be a positive integer", bound_tok.offset
                 )
             self.take(")")
-            if tok.kind == "SEQSTAR":
-                return SeqStar(body, bound)
-            return ParStar(body, bound)
+            return node(body, bound)
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
 
 def parse(tokens: list[Token]) -> Expr:
     """Parse a token sequence into an expression tree."""
     parser = _Parser(tokens)
-    e = parser.union()
+    e = parser.binary()
     tail = parser.peek()
     if tail.kind != "EOF":
         raise ParseError(f"unexpected token {tail.text!r}", tail.offset)
@@ -237,27 +213,22 @@ def evaluate(e: Expr, seq_compose: ComposeOp = seq) -> Program:
         return one()
     if isinstance(e, Sym):
         return program_of((singleton(e.label),))
-    if isinstance(e, Seq):
-        return pcompose(
-            evaluate(e.left, seq_compose), evaluate(e.right, seq_compose), seq_compose
-        )
-    if isinstance(e, Par):
-        return pcompose(evaluate(e.left, seq_compose), evaluate(e.right, seq_compose), par)
     if isinstance(e, Union):
         return punion(evaluate(e.left, seq_compose), evaluate(e.right, seq_compose))
-    if isinstance(e, SeqStar):
-        return star(evaluate(e.body, seq_compose), seq_compose, e.bound)
-    if isinstance(e, ParStar):
-        return star(evaluate(e.body, seq_compose), par, e.bound)
+    compose = seq_compose if isinstance(e, (Seq, SeqStar)) else par
+    if isinstance(e, (Seq, Par)):
+        return pcompose(
+            evaluate(e.left, seq_compose), evaluate(e.right, seq_compose), compose
+        )
+    if isinstance(e, (SeqStar, ParStar)):
+        return star(evaluate(e.body, seq_compose), compose, e.bound)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-_PREC = {Union: 1, Par: 2, Seq: 3}
-_OP_TEXT = {Union: "+", Par: "|", Seq: ";"}
 
 
 def pretty(e: Expr) -> str:
     """Render with minimal parentheses so parsing the output rebuilds ``e``."""
+    binary = {node: (prec, symbol) for prec, (symbol, node) in enumerate(_BINARY, 1)}
+    stars = {node: keyword for keyword, node in _STARS.items()}
 
     def go(node: Expr, parent_prec: int, right_side: bool) -> str:
         kind = type(node)
@@ -267,14 +238,10 @@ def pretty(e: Expr) -> str:
             return "1"
         if kind is Sym:
             return node.label
-        if kind is SeqStar:
-            return f"seqstar({go(node.body, 0, False)},{node.bound})"
-        if kind is ParStar:
-            return f"parstar({go(node.body, 0, False)},{node.bound})"
-        prec = _PREC[kind]
-        text = (
-            f"{go(node.left, prec, False)}{_OP_TEXT[kind]}{go(node.right, prec, True)}"
-        )
+        if kind in stars:
+            return f"{stars[kind]}({go(node.body, 0, False)},{node.bound})"
+        prec, symbol = binary[kind]
+        text = f"{go(node.left, prec, False)}{symbol}{go(node.right, prec, True)}"
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cka import (
@@ -167,3 +169,52 @@ def test_pretty_emits_compact_forms():
     assert pretty(parse_text("(a;b)|(a;b)")) == "a;b|a;b"
     assert pretty(parse_text("a;(b;c)")) == "a;(b;c)"
     assert pretty(parse_text("seqstar(a,3)")) == "seqstar(a,3)"
+
+
+def test_tokenize_reports_bytes_that_are_not_utf8():
+    # sys.argv carries a byte that is not UTF-8 as a lone surrogate.
+    with pytest.raises(LexicalError) as err:
+        tokenize("a;\udcff")
+    assert err.value.offset == 2
+    assert str(err.value) == "unexpected character '\\udcff' (offset 2)"
+
+
+def test_tokenize_lexical_grammar():
+    assert [(t.kind, t.text) for t in tokenize("1a")[:-1]] == [
+        ("INT", "1"),
+        ("IDENT", "a"),
+    ]
+    assert [t.kind for t in tokenize("seqstarx")] == ["IDENT", "EOF"]
+    toks = tokenize("a\t;\r\nb")
+    assert [(t.kind, t.offset) for t in toks] == [
+        ("IDENT", 0),
+        (";", 2),
+        ("IDENT", 5),
+        ("EOF", 6),
+    ]
+    for text in ("_a", "\x0b", "ä"):
+        with pytest.raises(LexicalError) as err:
+            tokenize(text)
+        assert err.value.offset == 0
+
+
+def _random_expr(rng, depth):
+    leaves = (Zero(), One(), Sym("a"), Sym("b"), Sym("c_1"))
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.choice((Seq, Par, Union, SeqStar, ParStar))
+    if kind in (SeqStar, ParStar):
+        return kind(_random_expr(rng, depth - 1), rng.randint(1, 12))
+    return kind(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+
+
+def test_pretty_round_trips_random_trees():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(500):
+        tree = _random_expr(rng, 5)
+        kinds.add(type(tree))
+        text = pretty(tree)
+        assert parse_text(text) == tree, text
+        assert pretty(parse_text(text)) == text
+    assert kinds == {Zero, One, Sym, Seq, Par, Union, SeqStar, ParStar}

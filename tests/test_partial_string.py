@@ -26,7 +26,7 @@ from cka import (
     validate,
     weakseq,
 )
-from cka.testkit import GenConfig, _sample_string, brute_force_refines
+from cka.testkit import GenConfig, _sample_string, brute_force_refines, enumerate_all
 
 import random
 
@@ -391,3 +391,12 @@ def test_to_dot_escapes_quotes_and_backslashes():
     dot = to_dot(from_text('events: a"x b\\y'))
     assert '  e0 [label="0:a\\"x"];' in dot.splitlines()
     assert '  e1 [label="1:b\\\\y"];' in dot.splitlines()
+
+
+def test_weakseq_extremes_equal_seq_and_par_exactly():
+    strings = enumerate_all(3, "ab")
+    for x in strings:
+        for y in strings:
+            full = DependenceRelation.full(set(x.labels) | set(y.labels))
+            assert weakseq(x, y, full) == seq(x, y)
+            assert weakseq(x, y, DependenceRelation.none()) == par(x, y)
