@@ -54,28 +54,25 @@ def _gen_key(g: PartialString) -> tuple[int, str]:
 def normalize_program(p: Program) -> Program:
     """Antichain form: drop duplicates, isomorphic copies and absorbed generators.
 
-    One pass over the distinct generators sorted by serialized form.  A
-    refinement needs equal event counts and label multisets, so only
-    generators in the same such bucket are compared.  A generator is
-    dropped when it refines another that sorts earlier (mutual refinement
-    is isomorphism, so the earliest copy survives) or that it lies
-    strictly below.  The output is deterministic and equal to the input
-    under :func:`equals`.
+    A refinement only adds strict order pairs, and adds none exactly when
+    it is an isomorphism, so whatever absorbs a generator has no more
+    pairs than it.  One greedy pass visits the distinct generators by
+    pair count, ties in serialized order, and keeps one unless it refines
+    a kept generator with the same labels; the earliest of isomorphic
+    copies survives.  Survivors come out in serialized order, so the
+    output is deterministic and equal to the input under :func:`equals`.
+    A program of fewer than two generators is returned as it is.
     """
+    if len(p.generators) < 2:
+        return p
     gens = sorted(dict.fromkeys(p.generators), key=_gen_key)
-    buckets: dict[tuple, list[PartialString]] = {}
-    for g in gens:
-        buckets.setdefault((g.n_events, tuple(sorted(g.labels))), []).append(g)
-    kept = {
-        g
-        for bucket in buckets.values()
-        for i, g in enumerate(bucket)
-        if not any(
-            j != i and refines(g, h) and (j < i or not refines(h, g))
-            for j, h in enumerate(bucket)
-        )
-    }
-    return Program(tuple(g for g in gens if g in kept))
+    kept: dict[tuple, list[PartialString]] = {}
+    for g in sorted(gens, key=PartialString.order_pair_count):
+        same = kept.setdefault(tuple(sorted(g.labels)), [])
+        if not any(refines(g, h) for h in same):
+            same.append(g)
+    survivors = {g for same in kept.values() for g in same}
+    return Program(tuple(g for g in gens if g in survivors))
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:

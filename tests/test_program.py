@@ -1,16 +1,21 @@
+import itertools
 import random
 
 import pytest
 
+import cka.partial_string
+import cka.program
 from cka import (
     Program,
     chain,
     contains,
     empty,
     equals,
+    evaluate,
     normalize_program,
     one,
     par,
+    parse_text,
     pcompose,
     program_from_text,
     program_of,
@@ -111,6 +116,34 @@ def test_normalize_generators_match_brute_force_oracle():
             key=_gen_key,
         )
         assert normalize_program(Program(tuple(gens))).generators == tuple(expected)
+
+
+def test_normalize_compares_each_pair_of_look_alikes_once(monkeypatch):
+    calls = []
+    search = cka.partial_string.find_morphism
+
+    def counting(src, tgt):
+        calls.append(None)
+        return search(src, tgt)
+
+    monkeypatch.setattr(cka.partial_string, "find_morphism", counting)
+    words = sorted(set(itertools.permutations("aabb")))
+    normalized = normalize_program(Program(tuple(chain(w) for w in words)))
+    assert len(normalized.generators) == 6
+    assert len(calls) <= 15
+
+
+def test_evaluate_long_seq_chain_skips_serialization(monkeypatch):
+    calls = []
+    serialize = cka.program.to_text
+
+    def counting(x):
+        calls.append(None)
+        return serialize(x)
+
+    monkeypatch.setattr(cka.program, "to_text", counting)
+    assert evaluate(parse_text(";".join("a" * 300))).generators == (chain("a" * 300),)
+    assert calls == []
 
 
 def test_normalize_is_idempotent_on_representations():
