@@ -286,6 +286,16 @@ def _order_tables(
     return tuple(sorted(ps.labels)), pairs, tuple(down), tuple(up)
 
 
+def _iso_signature(ps: PartialString) -> tuple:
+    """Sorted labels, strict pair count, sorted (label, |down|, |up|) triples.
+
+    One round of colour refinement: isomorphic strings share it.
+    """
+    labels, pairs, down, up = _order_tables(ps)
+    degs = zip(ps.labels, map(int.bit_count, down), map(int.bit_count, up))
+    return (labels, pairs, tuple(sorted(degs)))
+
+
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     """Exact search for a monotone label-preserving bijection src to tgt.
 

@@ -9,11 +9,14 @@ some generator.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .partial_string import (
     PartialString,
+    _iso_signature,
     empty,
     from_text,
     refines,
@@ -47,6 +50,7 @@ def one() -> Program:
     return Program((empty(),))
 
 
+@functools.lru_cache(maxsize=1024)
 def _gen_key(g: PartialString) -> tuple[int, str]:
     return (g.n_events, to_text(g))
 
@@ -54,25 +58,38 @@ def _gen_key(g: PartialString) -> tuple[int, str]:
 def normalize_program(p: Program) -> Program:
     """Antichain form: drop duplicates, isomorphic copies and absorbed generators.
 
-    A refinement only adds strict order pairs, and adds none exactly when
-    it is an isomorphism, so whatever absorbs a generator has no more
-    pairs than it.  One greedy pass visits the distinct generators by
-    pair count, ties in serialized order, and keeps one unless it refines
-    a kept generator with the same labels; the earliest of isomorphic
-    copies survives.  Survivors come out in serialized order, so the
-    output is deterministic and equal to the input under :func:`equals`.
-    A program of fewer than two generators is returned as it is.
+    A refinement only adds strict order pairs and adds none exactly when
+    it is an isomorphism, so an absorber has the same labels and either
+    fewer pairs or the same :func:`_iso_signature`.  One greedy pass
+    visits the distinct generators by signature, ties in serialized
+    order, and keeps one unless it refines a kept generator of those two
+    kinds; the earliest of isomorphic copies survives.  Survivors come
+    out in serialized order, so the output is deterministic and equal to
+    the input under :func:`equals`.  A program of fewer than two
+    generators is returned as it is.
     """
     if len(p.generators) < 2:
         return p
     gens = sorted(dict.fromkeys(p.generators), key=_gen_key)
-    kept: dict[tuple, list[PartialString]] = {}
-    for g in sorted(gens, key=PartialString.order_pair_count):
-        same = kept.setdefault(tuple(sorted(g.labels)), [])
-        if not any(refines(g, h) for h in same):
-            same.append(g)
-    survivors = {g for same in kept.values() for g in same}
-    return Program(tuple(g for g in gens if g in survivors))
+    sigs = [_iso_signature(g) for g in gens]
+    keep = [False] * len(gens)
+    kept: list[PartialString] = []
+    prev: tuple = ()
+    # Visited by signature, so equal labels, then equal pair counts, then
+    # equal signatures are contiguous; ties stay in serialized order.
+    for i in sorted(range(len(gens)), key=sigs.__getitem__):
+        sig = sigs[i]
+        if sig != prev:
+            if sig[:1] != prev[:1]:
+                start = len(kept)  # kept[start:layer]: same labels, fewer pairs
+            if sig[:2] != prev[:2]:
+                layer = len(kept)
+            twin, prev = len(kept), sig  # kept[twin:]: same signature
+        g = gens[i]
+        if not any(refines(g, h) for h in kept[start:layer] + kept[twin:]):
+            kept.append(g)
+            keep[i] = True
+    return Program(tuple(itertools.compress(gens, keep)))
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:
@@ -85,12 +102,24 @@ def program_of(xs: Iterable[PartialString]) -> Program:
 
 def contains(p: Program, x: PartialString) -> bool:
     """Membership of ``x`` in the downward closure of ``p``."""
-    return any(refines(x, g) for g in p.generators)
+    return subset(Program((x,)), p)
 
 
 def subset(p: Program, q: Program) -> bool:
-    """Inclusion of downward closures: every generator of ``p`` refines one of ``q``."""
-    return all(any(refines(g, h) for h in q.generators) for g in p.generators)
+    """Inclusion of downward closures: every generator of ``p`` refines one of ``q``.
+
+    A generator that ``q`` holds needs no search; any other is searched
+    against the generators of ``q`` with its sorted labels only.
+    """
+    have = set(q.generators)
+    by_labels: dict[tuple, list[PartialString]] = {}
+    for h in q.generators:
+        by_labels.setdefault(_iso_signature(h)[0], []).append(h)
+    return all(
+        g in have
+        or any(refines(g, h) for h in by_labels.get(_iso_signature(g)[0], ()))
+        for g in p.generators
+    )
 
 
 def equals(p: Program, q: Program) -> bool:
@@ -121,13 +150,16 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
     Computes F applied ``bound`` times to ``zero()`` where
     F(X) = ``punion(one(), pcompose(p, X, op))``.  The iterates form a
     monotone chain whose union is the least fixed point; only the finite
-    truncations are representable here.
+    truncations are representable here.  Each iterate is normalized once:
+    normalizing the ``op`` products before adding the empty string would
+    keep the same earliest copy of each maximal generator.
     """
     if bound < 1:
         raise ValueError("star bound must be at least 1")
     acc = zero()
     for _ in range(bound):
-        acc = punion(one(), pcompose(p, acc, op))
+        gens = tuple(op(g, h) for g in p.generators for h in acc.generators)
+        acc = normalize_program(Program((empty(),) + gens))
     return acc
 
 

@@ -22,7 +22,7 @@ from .partial_string import (
     Label,
     PartialString,
     _bits,
-    _order_tables,
+    _iso_signature,
     chain,
     empty,
     exchange_holds,
@@ -176,12 +176,6 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
                     group.append(len(found))
                     found.append(ps)
     return found
-
-
-def _iso_signature(ps: PartialString) -> tuple:
-    labels, pairs, down, up = _order_tables(ps)
-    degs = zip(ps.labels, [m.bit_count() for m in down], [m.bit_count() for m in up])
-    return (labels, pairs, tuple(sorted(degs)))
 
 
 def random_partial_string(cfg: GenConfig) -> PartialString:

@@ -26,7 +26,13 @@ from cka import (
     validate,
     weakseq,
 )
-from cka.testkit import GenConfig, _sample_string, brute_force_refines, enumerate_all
+from cka.testkit import (
+    GenConfig,
+    _sample_dependence,
+    _sample_string,
+    brute_force_refines,
+    enumerate_all,
+)
 
 import random
 
@@ -350,8 +356,21 @@ def test_hasse_of_n_shape():
 
 
 def test_text_round_trip():
-    for x in (empty(), singleton("a"), n4(), p4(), seq(n4(), p4())):
+    rng = random.Random(14)
+    cfg = GenConfig(max_events=7, alphabet=("a", "b", "c"), edge_probability=0.3, seed=14)
+    strings = [empty(), singleton("a"), n4(), p4(), seq(n4(), p4())]
+    strings += enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
+    for x in strings:
         assert from_text(to_text(x)) == x
+
+
+def test_validate_accepts_every_operator_output():
+    rng = random.Random(15)
+    cfg = GenConfig(max_events=5, alphabet=("a", "b", "c"), edge_probability=0.4, seed=15)
+    for _ in range(200):
+        x, y = _sample_string(rng, cfg), _sample_string(rng, cfg)
+        for z in (seq(x, y), par(x, y), weakseq(x, y, _sample_dependence(rng, cfg))):
+            validate(z)
 
 
 def test_from_text_computes_closure():

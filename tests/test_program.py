@@ -27,13 +27,16 @@ from cka import (
     subset,
     zero,
 )
+from cka.partial_string import _iso_signature
 from cka.program import _gen_key
 from cka.testkit import (
     GenConfig,
     _permuted,
     _sample_program,
     _sample_string,
+    _strengthened,
     brute_force_refines,
+    enumerate_all,
 )
 
 
@@ -94,15 +97,22 @@ def test_normalize_preserves_semantics_random():
         assert equals(raw, normalize_program(raw))
 
 
-def test_normalize_generators_match_brute_force_oracle():
-    rng = random.Random(21)
-    cfg = GenConfig(max_events=3, alphabet=("a", "b"), edge_probability=0.4, seed=21)
-    for _ in range(200):
-        gens = [_sample_string(rng, cfg) for _ in range(rng.randint(0, 5))]
-        gens += [_permuted(rng, g) for g in gens if rng.random() < 0.5]
-        rng.shuffle(gens)
-        distinct = set(gens)
-        expected = sorted(
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _normal_form_by_brute_force(gens):
+    distinct = set(gens)
+    return tuple(
+        sorted(
             (
                 g
                 for g in distinct
@@ -115,33 +125,62 @@ def test_normalize_generators_match_brute_force_oracle():
             ),
             key=_gen_key,
         )
-        assert normalize_program(Program(tuple(gens))).generators == tuple(expected)
+    )
+
+
+def test_normalize_generators_match_brute_force_oracle():
+    rng = random.Random(21)
+    cfg = GenConfig(max_events=3, alphabet=("a", "b"), edge_probability=0.4, seed=21)
+    cases = []
+    for _ in range(200):
+        cases.append([_sample_string(rng, cfg) for _ in range(rng.randint(0, 5))])
+    # Look-alikes: one label multiset and one pair count, so only the
+    # signature tells them apart.  The 4-event pair shares its signature
+    # without being isomorphic.
+    words = [chain(w) for w in sorted(set(itertools.permutations("aabbc")))]
+    corpus = enumerate_all(4, "ab")
+    sigs = [_iso_signature(x) for x in corpus]
+    twins = [x for x, sig in zip(corpus, sigs) if sigs.count(sig) > 1]
+    assert len(twins) == 2
+    for _ in range(10):
+        cases.append(rng.sample(words, rng.randint(2, 10)))
+        cases.append(twins + [_strengthened(rng, rng.choice(twins))])
+    for gens in cases:
+        gens += [_permuted(rng, g) for g in gens if rng.random() < 0.5]
+        rng.shuffle(gens)
+        expected = _normal_form_by_brute_force(gens)
+        assert normalize_program(Program(tuple(gens))).generators == expected
 
 
 def test_normalize_compares_each_pair_of_look_alikes_once(monkeypatch):
-    calls = []
-    search = cka.partial_string.find_morphism
-
-    def counting(src, tgt):
-        calls.append(None)
-        return search(src, tgt)
-
-    monkeypatch.setattr(cka.partial_string, "find_morphism", counting)
+    calls = _count_calls(monkeypatch, cka.partial_string, "find_morphism")
     words = sorted(set(itertools.permutations("aabb")))
     normalized = normalize_program(Program(tuple(chain(w) for w in words)))
     assert len(normalized.generators) == 6
     assert len(calls) <= 15
 
 
+def test_star_of_words_makes_no_refinement_search(monkeypatch):
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    calls = _count_calls(monkeypatch, cka.partial_string, "find_morphism")
+    words = star(a_or_b, seq, 7)
+    assert len(words.generators) == 2**7 - 1
+    assert calls == []
+    assert equals(words, star(a_or_b, seq, 7))
+    assert calls == []
+
+
+def test_star_normalizes_each_iterate_once(monkeypatch):
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    calls = _count_calls(monkeypatch, cka.program, "normalize_program")
+    for n in (1, 3, 7):
+        calls.clear()
+        star(a_or_b, par, n)
+        assert len(calls) == n
+
+
 def test_evaluate_long_seq_chain_skips_serialization(monkeypatch):
-    calls = []
-    serialize = cka.program.to_text
-
-    def counting(x):
-        calls.append(None)
-        return serialize(x)
-
-    monkeypatch.setattr(cka.program, "to_text", counting)
+    calls = _count_calls(monkeypatch, cka.program, "to_text")
     assert evaluate(parse_text(";".join("a" * 300))).generators == (chain("a" * 300),)
     assert calls == []
 
@@ -184,6 +223,46 @@ def test_subset_counterexample_from_interleavings():
 def test_subset_reflexive():
     p = program_of((ab_par(), singleton("c")))
     assert subset(p, p)
+
+
+def _subset_by_brute_force(p, q):
+    return all(
+        any(brute_force_refines(g, h) for h in q.generators) for g in p.generators
+    )
+
+
+def _check_inclusion_against_oracle(p, q):
+    p_in_q = _subset_by_brute_force(p, q)
+    q_in_p = _subset_by_brute_force(q, p)
+    assert subset(p, q) == p_in_q
+    assert subset(q, p) == q_in_p
+    assert equals(p, q) == (p_in_q and q_in_p)
+    for g in p.generators:
+        assert contains(q, g) == _subset_by_brute_force(Program((g,)), q)
+
+
+def test_subset_equals_contains_match_brute_force_oracle():
+    rng = random.Random(34)
+    cfg = GenConfig(max_events=7, alphabet=("a", "b"), edge_probability=0.4, seed=34)
+    for _ in range(200):
+        events = rng.choice((3, 7))
+        q = _sample_program(rng, cfg, max_generators=3, max_events=events)
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            if q.generators and rng.random() < 0.8:
+                g = rng.choice(q.generators)
+            else:
+                g = _sample_string(rng, cfg, events)
+            gens.append(rng.choice((g, _permuted(rng, g), _strengthened(rng, g))))
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        _check_inclusion_against_oracle(Program(tuple(gens)), q)
+
+
+def test_subset_matches_brute_force_on_every_small_pair():
+    singles = [Program((x,)) for x in enumerate_all(3, "ab")]
+    for p in singles:
+        for q in singles:
+            _check_inclusion_against_oracle(p, q)
 
 
 def test_equals_union_commutative():
@@ -279,6 +358,11 @@ def test_program_text_round_trip():
     p = program_of((ab_par(), singleton("c"), chain(("a", "a"))))
     assert equals(program_from_text(program_to_text(p)), p)
     assert program_from_text(program_to_text(p)).generators == p.generators
+    rng = random.Random(16)
+    cfg = GenConfig(max_events=5, alphabet=("a", "b", "c"), edge_probability=0.4, seed=16)
+    for _ in range(60):
+        p = _sample_program(rng, cfg, max_generators=5, max_events=5)
+        assert program_from_text(program_to_text(p)) == p
 
 
 def test_program_text_zero_and_one():
