@@ -3,7 +3,7 @@
 Subcommands: refines, equal, member, lang, dot, laws, star.  Exit code 0
 means the query holds, 1 means it fails, 2 means the input was rejected
 (lexical, syntax, file or validation error, or nesting too deep to
-evaluate).
+evaluate), 4 means an internal error (a bug); 3 is kept for budgets.
 
 Two pre-built four-event partial strings are available as complete
 operands: ``P4``, two independent two-chains with labels a,b each, and
@@ -41,7 +41,6 @@ from .program import (
     Program,
     contains,
     equals,
-    program_of,
     program_to_text,
     star,
     subset,
@@ -51,8 +50,9 @@ from .testkit import GenConfig, law_suite
 DEFAULT_SEED = 271828
 
 
+@functools.lru_cache(maxsize=None)
 def example_strings() -> dict[str, PartialString]:
-    """Named partial strings usable as expression operands."""
+    """Named partial strings usable as expression operands, built once and shared."""
     return {
         "P4": par(chain(("a", "b")), chain(("a", "b"))),
         "N4": from_strict_pairs(("a", "a", "b", "b"), [(0, 2), (0, 3), (1, 3)]),
@@ -84,7 +84,7 @@ def _eval_operand(text: str, seq_compose) -> Program:
     name = text.strip()
     examples = example_strings()
     if name in examples:
-        return program_of((examples[name],))
+        return Program((examples[name],))
     return evaluate(parse(tokenize(text)), seq_compose)
 
 
@@ -282,6 +282,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: never report it as a failing query
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

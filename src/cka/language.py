@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .partial_string import Label, PartialString, _order_tables
+from .partial_string import Label, PartialString, _shape
 from .program import Program
 
 Word = tuple[Label, ...]
@@ -47,17 +47,17 @@ class WordAutomaton:
         accept = []
         for gi, g in enumerate(generators):
             n = g.n_events
-            _, _, preds, succs = _order_tables(g)
+            shape = _shape(g)
             # Events with equal label, strict down-set and strict up-set
             # are interchangeable: taking them in index order keeps every
             # word and leaves one item where there were many.
             last: dict[tuple, int] = {}
             events = []
             for e in range(n):
-                key = (g.labels[e], preds[e], succs[e])
+                key = (g.labels[e], shape.down[e], shape.up[e])
                 twin = last.get(key)
                 last[key] = e
-                pred = preds[e] if twin is None else preds[e] | 1 << twin
+                pred = shape.down[e] if twin is None else shape.down[e] | 1 << twin
                 bit = 1 << e << shift
                 events.append((bit | pred << shift, pred << shift, g.labels[e]))
             self._events.append(events)

@@ -73,8 +73,7 @@ class PartialString:
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs with the reflexive diagonal removed."""
-        _, _, _, up = _order_tables(self)
-        return [(i, j) for i, row in enumerate(up) for j in _bits(row)]
+        return [(i, j) for i, row in enumerate(_shape(self).up) for j in _bits(row)]
 
     def order_pair_count(self) -> int:
         """Number of order pairs, reflexive pairs included."""
@@ -266,34 +265,50 @@ def weakseq(
 # --------------------------------------------------------------------- #
 
 
-@functools.lru_cache(maxsize=65536)
-def _order_tables(
-    ps: PartialString,
-) -> tuple[tuple[Label, ...], int, tuple[int, ...], tuple[int, ...]]:
-    """Sorted labels, strict pair count, and strict down and up masks per event."""
-    up = [row & ~(1 << i) for i, row in enumerate(ps.order)]
-    down = [0] * len(up)
-    pairs = 0
-    # Bits walked inline, not with _bits: every fresh string that to_text
-    # serializes builds this table once.
-    for i, row in enumerate(up):
-        pairs += row.bit_count()
-        bit = 1 << i
-        while row:
-            low = row & -row
-            down[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(sorted(ps.labels)), pairs, tuple(down), tuple(up)
+class _Shape:
+    """A value's sorted labels, strict pair count, strict down/up masks and
+    ``sig``: sorted per-event (label rank, |down|, |up|) ints packed in one."""
+
+    __slots__ = ("ps", "labels", "pairs", "down", "up", "sig", "_text")
+
+    def __init__(self, ps: PartialString) -> None:
+        n = len(ps.labels)
+        up = [row & ~(1 << i) for i, row in enumerate(ps.order)]
+        down = [0] * n
+        pairs = 0
+        # Bits walked inline, not with _bits: every fresh value builds this.
+        for i, row in enumerate(up):
+            pairs += row.bit_count()
+            bit = 1 << i
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= bit
+                row ^= low
+        labels = tuple(sorted(ps.labels))
+        width, sig = (n**3).bit_length(), 0
+        for v in sorted(
+            (labels.index(lab) * n + d.bit_count()) * n + u.bit_count()
+            for lab, d, u in zip(ps.labels, down, up)
+        ):
+            sig = sig << width | v
+        self.ps, self.labels, self.pairs, self.sig = ps, labels, pairs, sig
+        self.down, self.up, self._text = tuple(down), tuple(up), None
+
+    def text(self) -> str:
+        """The text format (cover pairs only), serialized on first call."""
+        if self._text is None:
+            lines = ["events:" + "".join(" " + lab for lab in self.ps.labels)]
+            lines.extend(f"order: {i} < {j}" for i, j in hasse(self.ps))
+            self._text = "\n".join(lines)
+        return self._text
+
+
+_shape = functools.lru_cache(maxsize=65536)(_Shape)
 
 
 def _iso_signature(ps: PartialString) -> tuple:
-    """Sorted labels, strict pair count, sorted (label, |down|, |up|) triples.
-
-    One round of colour refinement: isomorphic strings share it.
-    """
-    labels, pairs, down, up = _order_tables(ps)
-    degs = zip(ps.labels, map(int.bit_count, down), map(int.bit_count, up))
-    return (labels, pairs, tuple(sorted(degs)))
+    """Sorted labels, pair count and ``sig``: one round of colour refinement."""
+    return ((shape := _shape(ps)).labels, shape.pairs, shape.sig)
 
 
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
@@ -311,10 +326,10 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     n = src.n_events
     if tgt.n_events != n:
         return None
-    s_labels, s_pairs, s_down, s_up = _order_tables(src)
-    t_labels, t_pairs, t_down, t_up = _order_tables(tgt)
-    if s_labels != t_labels or s_pairs > t_pairs:
+    s_shape, t_shape = _shape(src), _shape(tgt)
+    if s_shape.labels != t_shape.labels or s_shape.pairs > t_shape.pairs:
         return None
+    s_down, s_up, t_down, t_up = s_shape.down, s_shape.up, t_shape.down, t_shape.up
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
     cand = []
@@ -364,9 +379,9 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
 def refines(x: PartialString, y: PartialString) -> bool:
     """True when ``x`` carries at least ``y``'s ordering constraints.
 
-    Decided by searching for a morphism from ``y`` onto ``x``.
+    Decided by searching for a morphism from ``y`` onto ``x``, unless equal.
     """
-    return find_morphism(y, x) is not None
+    return x == y or find_morphism(y, x) is not None
 
 
 def isomorphic(x: PartialString, y: PartialString) -> bool:
@@ -375,7 +390,7 @@ def isomorphic(x: PartialString, y: PartialString) -> bool:
     A refinement only adds order pairs, so one between strings with equal
     pair counts maps order pairs onto order pairs and is an isomorphism.
     """
-    return x.order_pair_count() == y.order_pair_count() and refines(x, y)
+    return _shape(x).pairs == _shape(y).pairs and refines(x, y)
 
 
 def exchange_holds(
@@ -397,7 +412,7 @@ def exchange_holds(
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
     """Cover pairs: the transitive reduction of the strict order."""
-    _, _, _, up = _order_tables(x)
+    up = _shape(x).up
     covers = []
     for i, row in enumerate(up):
         implied = 0
@@ -410,9 +425,7 @@ def hasse(x: PartialString) -> list[tuple[int, int]]:
 
 def to_text(x: PartialString) -> str:
     """Serialize in the line-based text format (cover pairs only)."""
-    lines = ["events:" + "".join(" " + lab for lab in x.labels)]
-    lines.extend(f"order: {i} < {j}" for i, j in hasse(x))
-    return "\n".join(lines)
+    return _shape(x).text()
 
 
 def from_text(text: str) -> PartialString:

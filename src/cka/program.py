@@ -9,14 +9,12 @@ some generator.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .partial_string import (
     PartialString,
-    _iso_signature,
+    _shape,
     empty,
     from_text,
     refines,
@@ -50,9 +48,8 @@ def one() -> Program:
     return Program((empty(),))
 
 
-@functools.lru_cache(maxsize=1024)
 def _gen_key(g: PartialString) -> tuple[int, str]:
-    return (g.n_events, to_text(g))
+    return (g.n_events, _shape(g).text())
 
 
 def normalize_program(p: Program) -> Program:
@@ -70,26 +67,24 @@ def normalize_program(p: Program) -> Program:
     """
     if len(p.generators) < 2:
         return p
-    gens = sorted(dict.fromkeys(p.generators), key=_gen_key)
-    sigs = [_iso_signature(g) for g in gens]
-    keep = [False] * len(gens)
-    kept: list[PartialString] = []
+    gens = list(dict.fromkeys(p.generators))
+    keys = [(s.labels, s.pairs, s.sig, s.text()) for s in map(_shape, gens)]
+    kept: list[int] = []
     prev: tuple = ()
     # Visited by signature, so equal labels, then equal pair counts, then
     # equal signatures are contiguous; ties stay in serialized order.
-    for i in sorted(range(len(gens)), key=sigs.__getitem__):
-        sig = sigs[i]
+    for i in sorted(range(len(gens)), key=keys.__getitem__):
+        sig = keys[i][:3]
         if sig != prev:
             if sig[:1] != prev[:1]:
                 start = len(kept)  # kept[start:layer]: same labels, fewer pairs
             if sig[:2] != prev[:2]:
                 layer = len(kept)
             twin, prev = len(kept), sig  # kept[twin:]: same signature
-        g = gens[i]
-        if not any(refines(g, h) for h in kept[start:layer] + kept[twin:]):
-            kept.append(g)
-            keep[i] = True
-    return Program(tuple(itertools.compress(gens, keep)))
+        if not any(refines(gens[i], gens[k]) for k in kept[start:layer] + kept[twin:]):
+            kept.append(i)
+    kept.sort(key=lambda i: (gens[i].n_events, keys[i][3]))
+    return Program(tuple(gens[i] for i in kept))
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:
@@ -114,10 +109,9 @@ def subset(p: Program, q: Program) -> bool:
     have = set(q.generators)
     by_labels: dict[tuple, list[PartialString]] = {}
     for h in q.generators:
-        by_labels.setdefault(_iso_signature(h)[0], []).append(h)
+        by_labels.setdefault(_shape(h).labels, []).append(h)
     return all(
-        g in have
-        or any(refines(g, h) for h in by_labels.get(_iso_signature(g)[0], ()))
+        g in have or any(refines(g, h) for h in by_labels.get(_shape(g).labels, ()))
         for g in p.generators
     )
 

@@ -150,8 +150,8 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
 
     Generates every DAG in identity-compatible topological order (which
     covers every poset up to isomorphism), closes it, labels it in all
-    ways, and deduplicates with :func:`isomorphic` behind cheap invariant
-    buckets.
+    ways, and deduplicates by signature bucket; within one, pair counts
+    are equal, so one :func:`refines` decides isomorphism.
     """
     labs = tuple(alphabet)
     found: list[PartialString] = []
@@ -172,7 +172,7 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
                 seen_exact.add(ps)
                 key = _iso_signature(ps)
                 group = buckets.setdefault(key, [])
-                if not any(isomorphic(ps, found[k]) for k in group):
+                if not any(refines(ps, found[k]) for k in group):
                     group.append(len(found))
                     found.append(ps)
     return found

@@ -1,10 +1,12 @@
 import subprocess
 import sys
 
+import pytest
 
-from cka import LAWS
-from cka.cli import main
+from cka import LAWS, Morphism
+from cka.cli import example_strings, main
 from cka.testkit import Law
+import cka.cli
 import cka.testkit
 
 
@@ -60,6 +62,7 @@ def test_named_examples(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "equal", "N4", "P4")
     assert code == 1
+    assert example_strings() is example_strings()
 
 
 def test_equal_holds(capsys):
@@ -264,6 +267,23 @@ def test_laws_nonzero_exit_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "laws", "--cases", "2", "--seed", "3")
     assert code == 1
     assert "#law par-commutative fail" in out
+
+
+@pytest.mark.parametrize(
+    "name, fake, argv",
+    [
+        # A witness that fails revalidation is a bug, not a failing query.
+        ("find_morphism", lambda *_: Morphism((0, 0, 0, 0)), ["--pomset", "N4", "P4"]),
+        ("subset", lambda p, q: {}[p], ["a", "b"]),
+    ],
+)
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, name, fake, argv):
+    monkeypatch.setattr(cka.cli, name, fake)
+    code, out, err = run_cli(capsys, "refines", *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs():

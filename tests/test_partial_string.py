@@ -2,6 +2,8 @@ import functools
 
 import pytest
 
+import cka.partial_string
+
 from cka import (
     DependenceRelation,
     InvalidPartialString,
@@ -26,8 +28,10 @@ from cka import (
     validate,
     weakseq,
 )
+from cka.partial_string import _iso_signature
 from cka.testkit import (
     GenConfig,
+    _permuted,
     _sample_dependence,
     _sample_string,
     brute_force_refines,
@@ -288,6 +292,8 @@ def test_find_morphism_matches_oracle_on_equal_label_multisets():
 def test_refinement_of_long_strings():
     word = chain("a" * 1100)
     assert refines(word, chain("a" * 1100))
+    same = find_morphism(word, chain("a" * 1100))
+    assert same is not None and same.is_valid(word, word)
     antichain = functools.reduce(par, [singleton("a")] * 1100)
     m = find_morphism(antichain, word)
     assert m is not None and m.is_valid(antichain, word)
@@ -296,6 +302,23 @@ def test_refinement_of_long_strings():
 def test_refines_reflexive_on_examples():
     for x in (empty(), singleton("a"), n4(), p4()):
         assert refines(x, x)
+
+
+def test_equal_values_are_decided_without_search(monkeypatch):
+    calls = []
+    original = cka.partial_string.find_morphism
+    monkeypatch.setattr(
+        cka.partial_string,
+        "find_morphism",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    for make in (empty, n4, p4, lambda: chain("ab" * 600)):
+        x, y = make(), make()
+        assert x is not y
+        assert refines(x, y) and refines(y, x) and isomorphic(x, y)
+    assert calls == []
+    assert not refines(p4(), n4())
+    assert len(calls) == 1
 
 
 def test_isomorphic_seq_associativity():
@@ -341,6 +364,43 @@ def test_frame_laws_random():
 # --------------------------------------------------------------------- #
 # Rendering and text format
 # --------------------------------------------------------------------- #
+
+
+def _triple_signature(x):
+    # The signature's definition, read straight off the order rows.
+    n = x.n_events
+    lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]
+    down = [sum(lt[j][i] for j in range(n)) for i in range(n)]
+    up = [sum(lt[i]) for i in range(n)]
+    return (tuple(sorted(x.labels)), sum(up), tuple(sorted(zip(x.labels, down, up))))
+
+
+def _text_by_brute_force(x):
+    n = x.n_events
+    lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+    ]
+    lines = ["events:" + "".join(" " + lab for lab in x.labels)]
+    return covers, "\n".join(lines + [f"order: {i} < {j}" for i, j in covers])
+
+
+def test_shape_record_matches_definitions_from_order():
+    rng = random.Random(29)
+    cfg = GenConfig(max_events=9, alphabet=("a", "b", "c"), edge_probability=0.3, seed=29)
+    corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
+    corpus += [_permuted(rng, x) for x in corpus]
+    # Equal signatures exactly when the triple signatures are equal.
+    pairs = {(_iso_signature(x), _triple_signature(x)) for x in corpus}
+    assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
+    assert len(pairs) > 300
+    for x in corpus:
+        covers, text = _text_by_brute_force(x)
+        assert hasse(x) == covers
+        assert to_text(x) == text
 
 
 def test_hasse_of_chain():

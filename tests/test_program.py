@@ -27,7 +27,7 @@ from cka import (
     subset,
     zero,
 )
-from cka.partial_string import _iso_signature
+from cka.partial_string import _iso_signature, _shape, _Shape
 from cka.program import _gen_key
 from cka.testkit import (
     GenConfig,
@@ -179,8 +179,21 @@ def test_star_normalizes_each_iterate_once(monkeypatch):
         assert len(calls) == n
 
 
+def test_star_builds_one_record_per_distinct_generator(monkeypatch):
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    _shape.cache_clear()
+    words = star(a_or_b, seq, 7)
+    # Every generator met on the way is one of the 2**7 - 1 final words.
+    assert len(words.generators) == 2**7 - 1
+    assert _shape.cache_info().misses == 2**7 - 1
+    covers = _count_calls(monkeypatch, cka.partial_string, "hasse")
+    program_to_text(words)
+    assert covers == []
+    assert _shape.cache_info().misses == 2**7 - 1
+
+
 def test_evaluate_long_seq_chain_skips_serialization(monkeypatch):
-    calls = _count_calls(monkeypatch, cka.program, "to_text")
+    calls = _count_calls(monkeypatch, _Shape, "text")
     assert evaluate(parse_text(";".join("a" * 300))).generators == (chain("a" * 300),)
     assert calls == []
 
