@@ -225,10 +225,12 @@ def evaluate(e: Expr, seq_compose: ComposeOp = seq) -> Program:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+_PRETTY_BINARY = {node: (prec, sym) for prec, (sym, node) in enumerate(_BINARY, 1)}
+_PRETTY_STARS = {node: keyword for keyword, node in _STARS.items()}
+
+
 def pretty(e: Expr) -> str:
     """Render with minimal parentheses so parsing the output rebuilds ``e``."""
-    binary = {node: (prec, symbol) for prec, (symbol, node) in enumerate(_BINARY, 1)}
-    stars = {node: keyword for keyword, node in _STARS.items()}
 
     def go(node: Expr, parent_prec: int, right_side: bool) -> str:
         kind = type(node)
@@ -238,9 +240,9 @@ def pretty(e: Expr) -> str:
             return "1"
         if kind is Sym:
             return node.label
-        if kind in stars:
-            return f"{stars[kind]}({go(node.body, 0, False)},{node.bound})"
-        prec, symbol = binary[kind]
+        if kind in _PRETTY_STARS:
+            return f"{_PRETTY_STARS[kind]}({go(node.body, 0, False)},{node.bound})"
+        prec, symbol = _PRETTY_BINARY[kind]
         text = f"{go(node.left, prec, False)}{symbol}{go(node.right, prec, True)}"
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"

@@ -321,7 +321,9 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     maps the strict down-set of an event into the strict down-set of its
     image).  An image is consistent when it lies above the images of the
     event's placed predecessors and below those of its placed successors.
-    Absence is therefore definitive, not heuristic.
+    Absence is therefore definitive, not heuristic.  A source without
+    strict pairs needs no search: the k-th event of each label maps onto
+    the target's k-th event of that label, the witness the search finds.
     """
     n = src.n_events
     if tgt.n_events != n:
@@ -329,6 +331,11 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     s_shape, t_shape = _shape(src), _shape(tgt)
     if s_shape.labels != t_shape.labels or s_shape.pairs > t_shape.pairs:
         return None
+    if not s_shape.pairs:
+        slots: dict[Label, list[int]] = {}
+        for t in reversed(range(n)):
+            slots.setdefault(tgt.labels[t], []).append(t)
+        return Morphism(tuple(slots[label].pop() for label in src.labels))
     s_down, s_up, t_down, t_up = s_shape.down, s_shape.up, t_shape.down, t_shape.up
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]

@@ -117,8 +117,8 @@ def subset(p: Program, q: Program) -> bool:
 
 
 def equals(p: Program, q: Program) -> bool:
-    """Semantic program equality: inclusion both ways."""
-    return subset(p, q) and subset(q, p)
+    """Semantic program equality: inclusion both ways, or equal generators."""
+    return p.generators == q.generators or (subset(p, q) and subset(q, p))
 
 
 def punion(p: Program, q: Program) -> Program:
@@ -144,16 +144,33 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
     Computes F applied ``bound`` times to ``zero()`` where
     F(X) = ``punion(one(), pcompose(p, X, op))``.  The iterates form a
     monotone chain whose union is the least fixed point; only the finite
-    truncations are representable here.  Each iterate is normalized once:
-    normalizing the ``op`` products before adding the empty string would
-    keep the same earliest copy of each maximal generator.
+    truncations are representable here.  Each iterate is normalized once.
+
+    Iterates are computed semi-naively.  Normalization keeps the
+    serialized-earliest member of each maximal isomorphism class, so
+    ``norm(C + E) == norm(norm(C) + E)``.  When the last iterate kept
+    every generator of the one before, F of it is therefore its own
+    generators plus ``p`` composed with only the generators it added.
+    Otherwise an old generator was absorbed or replaced by an isomorphic
+    copy that sorts earlier, and the step composes every generator again.
+    An iterate that adds nothing is the least fixed point, so the loop
+    stops there.
     """
     if bound < 1:
         raise ValueError("star bound must be at least 1")
-    acc = zero()
+    acc, fresh = zero(), None  # fresh: what acc added, or None for a full step
     for _ in range(bound):
-        gens = tuple(op(g, h) for g in p.generators for h in acc.generators)
-        acc = normalize_program(Program((empty(),) + gens))
+        if fresh is None:
+            base, grow = (empty(),), acc.generators
+        else:
+            base, grow = acc.generators, fresh
+        gens = tuple(op(g, h) for g in p.generators for h in grow)
+        old, acc = set(acc.generators), normalize_program(Program(base + gens))
+        fresh = None
+        if old.issubset(acc.generators):
+            fresh = [g for g in acc.generators if g not in old]
+            if not fresh:
+                break
     return acc
 
 

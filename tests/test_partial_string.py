@@ -289,6 +289,44 @@ def test_find_morphism_matches_oracle_on_equal_label_multisets():
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
+def _kth_onto_kth(src, tgt):
+    """Map the k-th event of each label onto the target's k-th of that label."""
+    slots = {}
+    for t, lab in enumerate(tgt.labels):
+        slots.setdefault(lab, []).append(t)
+    seen = {}
+    mapping = []
+    for lab in src.labels:
+        seen[lab] = seen.get(lab, -1) + 1
+        mapping.append(slots[lab][seen[lab]])
+    return tuple(mapping)
+
+
+def test_find_morphism_from_antichain_maps_kth_onto_kth():
+    rng = random.Random(31)
+    corpus = enumerate_all(4, "ab")
+    sources = [x for x in corpus if not x.strict_pairs()]
+    targets = list(corpus)
+    for _ in range(40):
+        labels = [rng.choice("abc") for _ in range(rng.randint(5, 12))]
+        sources.append(functools.reduce(par, map(singleton, labels)))
+        targets.append(_random_order(rng, rng.sample(labels, len(labels)), 0.3))
+    sources += [_permuted(rng, x) for x in sources]
+    targets += [_permuted(rng, y) for y in targets]
+    outcomes = []
+    for x in sources:
+        for y in targets:
+            if y.n_events != x.n_events:
+                continue
+            m = find_morphism(x, y)
+            assert (m is not None) == brute_force_refines(y, x)
+            if m is not None:
+                assert m.mapping == _kth_onto_kth(x, y)
+                assert m.is_valid(x, y)
+            outcomes.append(m is not None)
+    assert outcomes.count(True) >= 500 and outcomes.count(False) >= 500
+
+
 def test_refinement_of_long_strings():
     word = chain("a" * 1100)
     assert refines(word, chain("a" * 1100))

@@ -6,6 +6,7 @@ import pytest
 import cka.partial_string
 import cka.program
 from cka import (
+    DependenceRelation,
     Program,
     chain,
     contains,
@@ -25,6 +26,7 @@ from cka import (
     singleton,
     star,
     subset,
+    weakseq,
     zero,
 )
 from cka.partial_string import _iso_signature, _shape, _Shape
@@ -166,7 +168,8 @@ def test_star_of_words_makes_no_refinement_search(monkeypatch):
     words = star(a_or_b, seq, 7)
     assert len(words.generators) == 2**7 - 1
     assert calls == []
-    assert equals(words, star(a_or_b, seq, 7))
+    again = star(a_or_b, seq, 7)
+    assert subset(words, again) and subset(again, words)
     assert calls == []
 
 
@@ -177,6 +180,73 @@ def test_star_normalizes_each_iterate_once(monkeypatch):
         calls.clear()
         star(a_or_b, par, n)
         assert len(calls) == n
+
+
+def _full_iterates(p, op, bound):
+    """Every Kleene iterate up to ``bound``, each composing all generators."""
+    acc, out = zero(), []
+    for _ in range(bound):
+        gens = tuple(op(g, h) for g in p.generators for h in acc.generators)
+        acc = normalize_program(Program((empty(),) + gens))
+        out.append(acc)
+    return out
+
+
+def test_star_matches_full_iteration():
+    rng = random.Random(37)
+    cfg = GenConfig(max_events=2, alphabet=("a", "b"), edge_probability=0.5, seed=37)
+    dependence = DependenceRelation.of([("a", "b")])
+    ops = (seq, par, lambda x, y: weakseq(x, y, dependence))
+    swapped = evaluate(parse_text("a+b+b|a"))
+    # Under par its third iterate drops b|a for the isomorphic a|b, so the
+    # step after composes every generator again.
+    second, third = (set(star(swapped, par, n).generators) for n in (2, 3))
+    assert not second <= third
+    bodies = [zero(), one(), swapped]
+    while len(bodies) < 23:
+        p = _sample_program(rng, cfg, max_generators=3, max_events=2)
+        if len(p.generators) > 1:
+            copies = tuple(_permuted(rng, g) for g in p.generators)
+            bodies += [p, Program(p.generators + copies)]
+    full_steps = 0
+    for p in bodies:
+        for op in ops:
+            iterates = _full_iterates(p, op, 6)
+            for n, want in enumerate(iterates, 1):
+                assert star(p, op, n).generators == want.generators
+            for old, new in zip(iterates, iterates[1:]):
+                full_steps += not set(old.generators) <= set(new.generators)
+    assert full_steps > 10
+
+
+def test_star_composes_only_what_the_last_iterate_added():
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    for op, bound, compositions in ((seq, 7, 126), (par, 12, 132)):
+        calls = []
+
+        def counting(x, y, op=op):
+            calls.append(None)
+            return op(x, y)
+
+        star(a_or_b, counting, bound)
+        assert len(calls) == compositions
+
+
+def test_star_stops_at_a_fixed_point(monkeypatch):
+    calls = _count_calls(monkeypatch, cka.program, "normalize_program")
+    for p in (zero(), one()):
+        calls.clear()
+        assert star(p, seq, 50) == one()
+        assert len(calls) == 2
+
+
+def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
+    words = star(program_of((singleton("a"), singleton("b"))), seq, 5)
+    calls = _count_calls(monkeypatch, cka.program, "subset")
+    assert equals(words, Program(tuple(words.generators)))
+    assert calls == []
+    assert not equals(words, one())
+    assert calls
 
 
 def test_star_builds_one_record_per_distinct_generator(monkeypatch):
