@@ -418,13 +418,20 @@ def exchange_holds(
 
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
-    """Cover pairs: the transitive reduction of the strict order."""
+    """Cover pairs: the transitive reduction of the strict order.
+
+    Each row's successors are walked lowest index first, skipping those
+    already above a visited one: their up-sets lie inside its up-set, so
+    ``implied`` ends as the union over every successor either way.
+    """
     up = _shape(x).up
     covers = []
     for i, row in enumerate(up):
-        implied = 0
-        for j in _bits(row):
-            implied |= up[j]
+        implied, walk = 0, row
+        while walk:
+            low = walk & -walk
+            implied |= up[low.bit_length() - 1]
+            walk &= ~(low | implied)
         for j in _bits(row & ~implied):
             covers.append((i, j))
     return covers

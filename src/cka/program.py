@@ -9,8 +9,9 @@ some generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .partial_string import (
     PartialString,
@@ -138,6 +139,20 @@ def pcompose(p: Program, q: Program, op: ComposeOp) -> Program:
     return normalize_program(Program(gens))
 
 
+@functools.lru_cache(maxsize=256)
+def _kleene_chain(
+    gens: tuple[PartialString, ...], op: ComposeOp
+) -> list[tuple[Program, Optional[list[PartialString]]]]:
+    """The iterates of ``star`` computed so far for one body and op.
+
+    Entry ``k`` is the ``k``-th iterate and the generators it added, or
+    ``None`` when the step before it composed every generator.  ``star``
+    extends the list in place.  The 256 most recently used chains are
+    kept.
+    """
+    return [(zero(), None)]
+
+
 def star(p: Program, op: ComposeOp, bound: int) -> Program:
     """Bounded iteration: the ``bound``-th Kleene iterate of choice-or-continue.
 
@@ -153,13 +168,22 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
     generators plus ``p`` composed with only the generators it added.
     Otherwise an old generator was absorbed or replaced by an isomorphic
     copy that sorts earlier, and the step composes every generator again.
-    An iterate that adds nothing is the least fixed point, so the loop
+    An iterate that adds nothing is the least fixed point, so the chain
     stops there.
+
+    Stars share one chain per body and op within a process: a call
+    extends the chain of ``(p.generators, op)`` up to ``bound`` and
+    reuses every iterate an earlier call computed, in a bounded
+    least-recently-used table.  So ``op`` must be a pure function, and
+    hashable; functions, lambdas and ``functools.partial`` objects are,
+    by identity.
     """
     if bound < 1:
         raise ValueError("star bound must be at least 1")
-    acc, fresh = zero(), None  # fresh: what acc added, or None for a full step
-    for _ in range(bound):
+    chain = _kleene_chain(p.generators, op)
+    while len(chain) <= bound and chain[-1][1] != []:
+        k = len(chain)
+        acc, fresh = chain[k - 1]
         if fresh is None:
             base, grow = (empty(),), acc.generators
         else:
@@ -169,9 +193,10 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
         fresh = None
         if old.issubset(acc.generators):
             fresh = [g for g in acc.generators if g not in old]
-            if not fresh:
-                break
-    return acc
+        # Read and written by index, so a chain that another thread extends
+        # meanwhile keeps iterate k at index k.
+        chain[k : k + 1] = [(acc, fresh)]
+    return chain[min(bound, len(chain) - 1)][0]
 
 
 def program_to_text(p: Program) -> str:

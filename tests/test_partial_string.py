@@ -435,6 +435,8 @@ def test_shape_record_matches_definitions_from_order():
     pairs = {(_iso_signature(x), _triple_signature(x)) for x in corpus}
     assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
     assert len(pairs) > 300
+    # Long chains with shuffled indices: the lowest successor is rarely the cover.
+    corpus += [_permuted(rng, chain(rng.choices("abc", k=40))) for _ in range(5)]
     for x in corpus:
         covers, text = _text_by_brute_force(x)
         assert hasse(x) == covers

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -30,7 +32,7 @@ from cka import (
     zero,
 )
 from cka.partial_string import _iso_signature, _shape, _Shape
-from cka.program import _gen_key
+from cka.program import _gen_key, _kleene_chain
 from cka.testkit import (
     GenConfig,
     _permuted,
@@ -177,6 +179,7 @@ def test_star_normalizes_each_iterate_once(monkeypatch):
     a_or_b = program_of((singleton("a"), singleton("b")))
     calls = _count_calls(monkeypatch, cka.program, "normalize_program")
     for n in (1, 3, 7):
+        _kleene_chain.cache_clear()
         calls.clear()
         star(a_or_b, par, n)
         assert len(calls) == n
@@ -233,11 +236,95 @@ def test_star_composes_only_what_the_last_iterate_added():
 
 
 def test_star_stops_at_a_fixed_point(monkeypatch):
+    _kleene_chain.cache_clear()
     calls = _count_calls(monkeypatch, cka.program, "normalize_program")
     for p in (zero(), one()):
         calls.clear()
         assert star(p, seq, 50) == one()
         assert len(calls) == 2
+
+
+def test_star_chain_answers_bounds_in_any_order_like_a_cold_call():
+    rng = random.Random(43)
+    cfg = GenConfig(max_events=2, alphabet=("a", "b"), edge_probability=0.5, seed=43)
+    dependence = DependenceRelation.of([("a", "b")])
+    ops = (seq, par, lambda x, y: weakseq(x, y, dependence))
+    # Under par, a+b+b|a takes the full step after its third iterate.
+    bodies = [zero(), one(), evaluate(parse_text("a+b+b|a"))]
+    while len(bodies) < 13:
+        p = _sample_program(rng, cfg, max_generators=3, max_events=2)
+        if len(p.generators) > 1:
+            copies = tuple(_permuted(rng, g) for g in p.generators)
+            bodies += [p, Program(p.generators + copies)]
+    for p in bodies:
+        for op in ops:
+            cold = {}
+            for n in range(1, 8):
+                _kleene_chain.cache_clear()
+                cold[n] = star(p, op, n).generators
+            bounds = list(range(1, 8)) * 2
+            rng.shuffle(bounds)
+            _kleene_chain.cache_clear()
+            for n in bounds:
+                assert star(p, op, n).generators == cold[n]
+
+
+def test_star_extends_the_chain_only_past_its_last_iterate():
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return seq(x, y)
+
+    star(a_or_b, counting, 7)
+    calls.clear()
+    star(a_or_b, counting, 5)
+    assert calls == []
+    # Iterate 7 added the 2**6 words of six events.
+    star(a_or_b, counting, 8)
+    assert len(calls) == 2 * 2**6
+
+
+def test_star_chain_extended_from_several_threads_keeps_its_indices():
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    cold = {}
+    for n in range(1, 9):
+        _kleene_chain.cache_clear()
+        cold[n] = star(a_or_b, seq, n).generators
+    wrong = []
+
+    def worker(seed):
+        bounds = list(range(1, 9)) * 2
+        random.Random(seed).shuffle(bounds)
+        for n in bounds:
+            if star(a_or_b, seq, n).generators != cold[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(8):
+            _kleene_chain.cache_clear()
+            threads = [threading.Thread(target=worker, args=(round_ * 6 + i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            iterates = _kleene_chain(a_or_b.generators, seq)[1:]
+            assert [acc.generators for acc, _ in iterates] == list(cold.values())
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_star_past_a_fixed_point_makes_no_step(monkeypatch):
+    _kleene_chain.cache_clear()
+    star(one(), seq, 50)
+    calls = _count_calls(monkeypatch, cka.program, "normalize_program")
+    assert star(one(), seq, 10**6) == one()
+    assert calls == []
 
 
 def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
@@ -251,6 +338,7 @@ def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
 
 def test_star_builds_one_record_per_distinct_generator(monkeypatch):
     a_or_b = program_of((singleton("a"), singleton("b")))
+    _kleene_chain.cache_clear()
     _shape.cache_clear()
     words = star(a_or_b, seq, 7)
     # Every generator met on the way is one of the 2**7 - 1 final words.
