@@ -19,6 +19,7 @@ import functools
 import itertools
 import sys
 import time
+from dataclasses import dataclass
 from typing import Optional
 
 from .expr import ExprError, evaluate, parse, tokenize
@@ -59,6 +60,17 @@ def example_strings() -> dict[str, PartialString]:
     }
 
 
+@dataclass(frozen=True)
+class _WeakSeq:
+    """Weak sequencing under one relation, hashed by value so that every
+    star of one body under one relation shares a Kleene chain."""
+
+    relation: DependenceRelation
+
+    def __call__(self, x: PartialString, y: PartialString) -> PartialString:
+        return weakseq(x, y, self.relation)
+
+
 def _seq_compose(weak_dep: Optional[str]):
     """Composition used for ';': strong by default, weak under --weak-dep."""
     if weak_dep is None:
@@ -76,8 +88,7 @@ def _seq_compose(weak_dep: Optional[str]):
                 f"bad dependence item {item!r}; use label:label, 'full' or 'empty'"
             )
         pairs.append((a.strip(), b.strip()))
-    relation = DependenceRelation.of(pairs)
-    return lambda x, y: weakseq(x, y, relation)
+    return _WeakSeq(DependenceRelation.of(pairs))
 
 
 def _eval_operand(text: str, seq_compose) -> Program:

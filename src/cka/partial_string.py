@@ -306,11 +306,6 @@ class _Shape:
 _shape = functools.lru_cache(maxsize=65536)(_Shape)
 
 
-def _iso_signature(ps: PartialString) -> tuple:
-    """Sorted labels, pair count and ``sig``: one round of colour refinement."""
-    return ((shape := _shape(ps)).labels, shape.pairs, shape.sig)
-
-
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     """Exact search for a monotone label-preserving bijection src to tgt.
 
@@ -320,10 +315,11 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     strict down-set and up-set are at least as large (a monotone injection
     maps the strict down-set of an event into the strict down-set of its
     image).  An image is consistent when it lies above the images of the
-    event's placed predecessors and below those of its placed successors.
-    Absence is therefore definitive, not heuristic.  A source without
-    strict pairs needs no search: the k-th event of each label maps onto
-    the target's k-th event of that label, the witness the search finds.
+    event's placed predecessors and below those of its placed successors;
+    images are tried lowest index first.  Absence is therefore definitive,
+    not heuristic.  A source without strict pairs needs no search: the
+    k-th event of each label maps onto the target's k-th event of that
+    label, the witness the search finds.
     """
     n = src.n_events
     if tgt.n_events != n:

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional
 
 from .partial_string import (
     PartialString,
+    _Shape,
     _shape,
     empty,
     from_text,
@@ -49,43 +50,46 @@ def one() -> Program:
     return Program((empty(),))
 
 
-def _gen_key(g: PartialString) -> tuple[int, str]:
-    return (g.n_events, _shape(g).text())
-
-
 def normalize_program(p: Program) -> Program:
     """Antichain form: drop duplicates, isomorphic copies and absorbed generators.
 
     A refinement only adds strict order pairs and adds none exactly when
-    it is an isomorphism, so an absorber has the same labels and either
-    fewer pairs or the same :func:`_iso_signature`.  One greedy pass
-    visits the distinct generators by signature, ties in serialized
-    order, and keeps one unless it refines a kept generator of those two
-    kinds; the earliest of isomorphic copies survives.  Survivors come
-    out in serialized order, so the output is deterministic and equal to
-    the input under :func:`equals`.  A program of fewer than two
-    generators is returned as it is.
+    it is an isomorphism, so an absorber has the same sorted labels and
+    either fewer strict pairs or the same signature (see ``_Shape``).  The
+    distinct generators are grouped by sorted labels; a group of one is
+    kept as it is.  In a larger group one greedy pass visits them by pair
+    count, then signature, then serialized order, and keeps one unless it
+    refines a kept generator of those two kinds; the earliest of
+    isomorphic copies survives.  Survivors come out in serialized order,
+    so the output is deterministic and equal to the input under
+    :func:`equals`.  A program of fewer than two generators is returned
+    as it is.
     """
     if len(p.generators) < 2:
         return p
-    gens = list(dict.fromkeys(p.generators))
-    keys = [(s.labels, s.pairs, s.sig, s.text()) for s in map(_shape, gens)]
-    kept: list[int] = []
-    prev: tuple = ()
-    # Visited by signature, so equal labels, then equal pair counts, then
-    # equal signatures are contiguous; ties stay in serialized order.
-    for i in sorted(range(len(gens)), key=keys.__getitem__):
-        sig = keys[i][:3]
-        if sig != prev:
-            if sig[:1] != prev[:1]:
-                start = len(kept)  # kept[start:layer]: same labels, fewer pairs
-            if sig[:2] != prev[:2]:
-                layer = len(kept)
-            twin, prev = len(kept), sig  # kept[twin:]: same signature
-        if not any(refines(gens[i], gens[k]) for k in kept[start:layer] + kept[twin:]):
-            kept.append(i)
-    kept.sort(key=lambda i: (gens[i].n_events, keys[i][3]))
-    return Program(tuple(gens[i] for i in kept))
+    groups: dict[tuple, list[_Shape]] = {}
+    for g in dict.fromkeys(p.generators):
+        shape = _shape(g)
+        groups.setdefault(shape.labels, []).append(shape)
+    kept: list[_Shape] = []
+    for group in groups.values():
+        if len(group) == 1:
+            kept.append(group[0])
+            continue
+        start = len(kept)
+        pairs = sig = None
+        for s in sorted(group, key=lambda s: (s.pairs, s.sig, s.text())):
+            if s.pairs != pairs:
+                layer, pairs = len(kept), s.pairs  # kept[start:layer]: fewer pairs
+            if s.sig != sig:
+                twin, sig = len(kept), s.sig  # kept[twin:]: same signature
+            for t in kept[start:layer] + kept[twin:]:
+                if refines(s.ps, t.ps):
+                    break
+            else:
+                kept.append(s)
+    kept.sort(key=lambda s: (len(s.labels), s.text()))
+    return Program(tuple(s.ps for s in kept))
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:

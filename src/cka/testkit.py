@@ -22,7 +22,7 @@ from .partial_string import (
     Label,
     PartialString,
     _bits,
-    _iso_signature,
+    _shape,
     chain,
     empty,
     exchange_holds,
@@ -170,7 +170,8 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
                 if ps in seen_exact:
                     continue
                 seen_exact.add(ps)
-                key = _iso_signature(ps)
+                shape = _shape(ps)
+                key = (shape.labels, shape.pairs, shape.sig)
                 group = buckets.setdefault(key, [])
                 if not any(refines(ps, found[k]) for k in group):
                     group.append(len(found))

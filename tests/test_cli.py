@@ -5,6 +5,7 @@ import pytest
 
 from cka import LAWS, Morphism
 from cka.cli import example_strings, main
+from cka.program import _kleene_chain
 from cka.testkit import Law
 import cka.cli
 import cka.testkit
@@ -34,11 +35,17 @@ def test_refines_self(capsys):
 
 
 def test_refines_pomset_witness_is_printed_and_valid(capsys):
-    code, out, _ = run_cli(capsys, "refines", "a;b", "a|b", "--pomset")
-    lines = out.splitlines()
-    assert code == 0
-    assert lines[0] == "holds"
-    assert lines[1] == "witness: 0->0 1->1"
+    cases = [
+        ("a;b", "a|b", "witness: 0->0 1->1"),
+        # Two witnesses exist; the search backtracks once before it finds this one.
+        ("a;((a;a)|a)", "(a;a)|(a;a)", "witness: 0->0 1->3 2->1 3->2"),
+    ]
+    for x, y, witness in cases:
+        code, out, _ = run_cli(capsys, "refines", x, y, "--pomset")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "holds"
+        assert lines[1] == witness
 
 
 def test_refines_pomset_failure_has_no_witness(capsys):
@@ -237,6 +244,15 @@ def test_weak_dep_pairs(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "equal", "a;b", "a|b", "--weak-dep", "a:b")
     assert code == 1
+
+
+def test_weak_dep_stars_share_one_kleene_chain(capsys):
+    argv = ("star", "seqstar(a+b,4)", "2", "--weak-dep", "a:b")
+    _kleene_chain.cache_clear()
+    first = run_cli(capsys, *argv)
+    misses = _kleene_chain.cache_info().misses
+    assert run_cli(capsys, *argv) == first
+    assert _kleene_chain.cache_info().misses == misses
 
 
 def test_weak_dep_bad_spec(capsys):

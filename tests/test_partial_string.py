@@ -28,9 +28,10 @@ from cka import (
     validate,
     weakseq,
 )
-from cka.partial_string import _iso_signature
+from cka.partial_string import _shape
 from cka.testkit import (
     GenConfig,
+    _bijections,
     _permuted,
     _sample_dependence,
     _sample_string,
@@ -399,6 +400,33 @@ def test_frame_laws_random():
         assert refines(seq(x, par(y, z)), par(seq(x, y), z))
 
 
+# Seeded 6- and 7-event pairs on which the search backtracks, each with
+# several witnesses: source labels and rows, target labels and rows, and
+# the witness the visiting order reaches first.
+BACKTRACKING_PAIRS = [
+    ("aaaaaaa", (1, 6, 4, 15, 17, 101, 65), "aaaaaaa", (61, 63, 52, 60, 48, 32, 127),
+     (2, 4, 5, 0, 6, 1, 3)),
+    ("aaaaaaa", (1, 2, 4, 72, 80, 36, 64), "aaaaaaa", (107, 98, 108, 104, 127, 32, 96),
+     (5, 6, 3, 0, 4, 2, 1)),
+    ("aaaaaa", (1, 3, 4, 13, 16, 49), "aaaaaa", (1, 3, 15, 11, 63, 47), (0, 1, 3, 2, 5, 4)),
+    ("aaaaaa", (45, 2, 4, 44, 22, 32), "aaaaaa", (15, 2, 14, 10, 31, 42), (4, 3, 1, 0, 5, 2)),
+    ("bababb", (1, 10, 5, 8, 31, 33), "abbabb", (61, 63, 44, 40, 60, 32), (5, 0, 2, 3, 1, 4)),
+]
+
+
+def test_find_morphism_witness_follows_the_visiting_order():
+    for src_labels, src_rows, tgt_labels, tgt_rows, mapping in BACKTRACKING_PAIRS:
+        src = PartialString(tuple(src_labels), src_rows)
+        tgt = PartialString(tuple(tgt_labels), tgt_rows)
+        validate(src)
+        validate(tgt)
+        witnesses = [
+            b for b in _bijections(src, tgt) if Morphism(tuple(b)).is_valid(src, tgt)
+        ]
+        assert len(witnesses) > 1
+        assert find_morphism(src, tgt).mapping == mapping
+
+
 # --------------------------------------------------------------------- #
 # Rendering and text format
 # --------------------------------------------------------------------- #
@@ -432,7 +460,10 @@ def test_shape_record_matches_definitions_from_order():
     corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
     corpus += [_permuted(rng, x) for x in corpus]
     # Equal signatures exactly when the triple signatures are equal.
-    pairs = {(_iso_signature(x), _triple_signature(x)) for x in corpus}
+    pairs = {
+        ((s.labels, s.pairs, s.sig), _triple_signature(x))
+        for s, x in zip(map(_shape, corpus), corpus)
+    }
     assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
     assert len(pairs) > 300
     # Long chains with shuffled indices: the lowest successor is rarely the cover.
