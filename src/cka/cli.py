@@ -175,7 +175,7 @@ def cmd_lang(args) -> int:
     automaton = WordAutomaton(_eval_operand(args.expr, compose).generators)
     total = automaton.count()
     shown = 0
-    for word in itertools.islice(automaton.words(ordered=True), args.max_display):
+    for word in itertools.islice(automaton.words(), args.max_display):
         print(" ".join(word))
         shown += 1
     if shown < total:
@@ -270,7 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star", help="bounded Kleene iterate of a program")
     p.add_argument("expr")
     p.add_argument("bound", type=int)
-    p.add_argument("--op", choices=("seq", "par"), default="seq")
+    p.add_argument(
+        "--op",
+        choices=("seq", "par"),
+        default="seq",
+        help="iterate with strong ';' or with '|'; --weak-dep does not change "
+        "the op, so write a weak star as the term seqstar(E,n)",
+    )
     _add_weak_dep(p)
     p.set_defaults(fn=cmd_star)
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .partial_string import par, seq, singleton
-from .program import ComposeOp, Program, one, pcompose, program_of, punion, star, zero
+from .program import ComposeOp, Program, one, pcompose, punion, star, zero
 
 
 class ExprError(ValueError):
@@ -212,7 +212,7 @@ def evaluate(e: Expr, seq_compose: ComposeOp = seq) -> Program:
     if isinstance(e, One):
         return one()
     if isinstance(e, Sym):
-        return program_of((singleton(e.label),))
+        return Program((singleton(e.label),))
     if isinstance(e, Union):
         return punion(evaluate(e.left, seq_compose), evaluate(e.right, seq_compose))
     compose = seq_compose if isinstance(e, (Seq, SeqStar)) else par

@@ -12,8 +12,8 @@ a poset", 2006).  A state is the set of (generator, consumed down-set)
 items that one prefix word reaches, so each distinct word is exactly one
 path and the number of states never exceeds the number of distinct
 prefixes.  Words therefore need no deduplication, the total is a path
-count memoised per state and is found without listing the words, and a
-walk taking labels in sorted order yields the words in sorted order.
+count summed layer by layer without listing the words, and a walk taking
+labels in sorted order yields the words in sorted order.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ class WordAutomaton:
     has consumed its whole generator; the edge on label ``l`` consumes,
     in every item, any minimal unconsumed event labelled ``l``.  No edge
     leads to the empty state, so every state reaches acceptance.
+
+    Every item of a state reached by a word of length ``k`` has consumed
+    exactly ``k`` events, so the states fall into layers by word length
+    and every edge leads from one layer to the next.  A walk that sweeps
+    one layer at a time meets each state in one layer only and needs no
+    stack and no visited set.
     """
 
     def __init__(self, generators: Sequence[PartialString]) -> None:
@@ -87,8 +93,8 @@ class WordAutomaton:
             self._succ[state] = succ
         return succ
 
-    def words(self, ordered: bool = False) -> Iterator[Word]:
-        """Every accepted word once, in ``sorted`` order when ``ordered``.
+    def words(self) -> Iterator[Word]:
+        """Every accepted word once, in ``sorted`` order.
 
         A pre-order walk: a prefix that is a word comes before its
         extensions, and children follow in label order.
@@ -99,29 +105,26 @@ class WordAutomaton:
             word, state = stack.pop()
             if accepts(state):
                 yield word
-            edges = successors(state).items()
-            if ordered:
-                edges = sorted(edges, reverse=True)
-            for label, nxt in edges:
+            for label, nxt in sorted(successors(state).items(), reverse=True):
                 stack.append((word + (label,), nxt))
 
     def count(self) -> int:
-        """Number of accepted words, without listing any of them."""
-        paths: dict[State, int] = {}
-        stack = [self.start]
-        while stack:
-            state = stack[-1]
-            if state in paths:
-                stack.pop()
-                continue
-            succ = self.successors(state).values()
-            todo = [nxt for nxt in succ if nxt not in paths]
-            if todo:
-                stack.extend(todo)
-                continue
-            paths[state] = self.accepts(state) + sum(paths[nxt] for nxt in succ)
-            stack.pop()
-        return paths[self.start]
+        """Number of accepted words, without listing any of them.
+
+        Sweeps the layers forward, keeping per state the number of
+        prefixes that reach it; an accepting state adds its number.
+        """
+        total = 0
+        layer = {self.start: 1}
+        while layer:
+            nxt: dict[State, int] = {}
+            for state, paths in layer.items():
+                if self.accepts(state):
+                    total += paths
+                for succ in self.successors(state).values():
+                    nxt[succ] = nxt.get(succ, 0) + paths
+            layer = nxt
+        return total
 
 
 def linearize(x: PartialString) -> frozenset[Word]:
@@ -145,25 +148,23 @@ def language(p: Program) -> frozenset[Word]:
 def lang_subset(p: Program, q: Program) -> bool:
     """Language containment (implied by program inclusion, weaker than it).
 
-    Walks both automata in lockstep and stops at the first pair of states
-    where ``p`` accepts and ``q`` does not, or ``p`` has an edge ``q``
-    lacks.  Every state of ``p`` reaches acceptance, so either exit names
-    a word of ``p`` missing from ``q``.
+    Walks both automata in lockstep, one layer of state pairs at a time,
+    and stops at the first pair where ``p`` accepts and ``q`` does not, or
+    ``p`` has an edge ``q`` lacks.  Every state of ``p`` reaches
+    acceptance, so either exit names a word of ``p`` missing from ``q``.
     """
     ap, aq = WordAutomaton(p.generators), WordAutomaton(q.generators)
-    start = (ap.start, aq.start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        sp, sq = stack.pop()
-        if ap.accepts(sp) and not aq.accepts(sq):
-            return False
-        succ_q = aq.successors(sq)
-        for label, np in ap.successors(sp).items():
-            nq = succ_q.get(label)
-            if nq is None:
+    layer = {(ap.start, aq.start)}
+    while layer:
+        nxt = set()
+        for sp, sq in layer:
+            if ap.accepts(sp) and not aq.accepts(sq):
                 return False
-            if (np, nq) not in seen:
-                seen.add((np, nq))
-                stack.append((np, nq))
+            succ_q = aq.successors(sq)
+            for label, np in ap.successors(sp).items():
+                nq = succ_q.get(label)
+                if nq is None:
+                    return False
+                nxt.add((np, nq))
+        layer = nxt
     return True

@@ -170,6 +170,10 @@ def from_strict_pairs(
             raise InvalidPartialString(
                 f"order pair ({i}, {j}) outside events 0..{n - 1}"
             )
+        if i == j:
+            raise InvalidPartialString(
+                f"order pair ({i}, {j}) is not strict: an event cannot precede itself"
+            )
         rows[i] |= 1 << j
     ps = PartialString(labs, tuple(transitive_closure(rows)))
     validate(ps)
@@ -443,8 +447,8 @@ def from_text(text: str) -> PartialString:
 
     The first non-blank line is ``events: l0 l1 ...``; each further line
     is ``order: i < j`` with one strict pair.  The reflexive-transitive
-    closure is computed on load, and loading fails if the closure breaks
-    antisymmetry.
+    closure is computed on load, and loading fails on a pair ``i < i`` or
+    if the closure breaks antisymmetry.
     """
     labels: Optional[tuple[Label, ...]] = None
     pairs: list[tuple[int, int]] = []

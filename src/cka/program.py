@@ -216,9 +216,9 @@ def program_from_text(text: str) -> Program:
             blocks.append([])
         else:
             blocks[-1].append(line)
-    gens = [
+    gens = tuple(
         from_text("\n".join(block))
         for block in blocks
         if any(line.strip() for line in block)
-    ]
-    return program_of(gens)
+    )
+    return normalize_program(Program(gens))

@@ -36,12 +36,12 @@ from .partial_string import (
     weakseq,
 )
 from .program import (
+    ComposeOp,
     Program,
     equals,
     normalize_program,
     one,
     pcompose,
-    program_of,
     punion,
     star,
     subset,
@@ -249,7 +249,8 @@ def _sample_program(
     max_events: int = 3,
 ) -> Program:
     k = rng.randint(0, max_generators)
-    return program_of(_sample_string(rng, cfg, max_events) for _ in range(k))
+    gens = tuple(_sample_string(rng, cfg, max_events) for _ in range(k))
+    return normalize_program(Program(gens))
 
 
 # --------------------------------------------------------------------- #
@@ -446,32 +447,26 @@ def _p_assoc(rng, cfg):
     )
 
 
-@_law("seq-distributes-over-union", "program")
-def _seq_dist(rng, cfg):
-    x, y, z = (_sample_program(rng, cfg) for _ in range(3))
-    left = equals(
-        pcompose(x, punion(y, z), seq),
-        punion(pcompose(x, y, seq), pcompose(x, z, seq)),
-    )
-    right = equals(
-        pcompose(punion(y, z), x, seq),
-        punion(pcompose(y, x, seq), pcompose(z, x, seq)),
-    )
-    return left and right
+def _distributes(op: ComposeOp) -> LawCheck:
+    """Composition under ``op`` distributes over union on both sides."""
+
+    def check(rng, cfg):
+        x, y, z = (_sample_program(rng, cfg) for _ in range(3))
+        left = equals(
+            pcompose(x, punion(y, z), op),
+            punion(pcompose(x, y, op), pcompose(x, z, op)),
+        )
+        right = equals(
+            pcompose(punion(y, z), x, op),
+            punion(pcompose(y, x, op), pcompose(z, x, op)),
+        )
+        return left and right
+
+    return check
 
 
-@_law("par-distributes-over-union", "program")
-def _par_dist(rng, cfg):
-    x, y, z = (_sample_program(rng, cfg) for _ in range(3))
-    left = equals(
-        pcompose(x, punion(y, z), par),
-        punion(pcompose(x, y, par), pcompose(x, z, par)),
-    )
-    right = equals(
-        pcompose(punion(y, z), x, par),
-        punion(pcompose(y, x, par), pcompose(z, x, par)),
-    )
-    return left and right
+_law("seq-distributes-over-union", "program")(_distributes(seq))
+_law("par-distributes-over-union", "program")(_distributes(par))
 
 
 @_law("program-exchange", "program")
@@ -585,8 +580,8 @@ def _lang_mono(rng, cfg):
 
 @_law("language-strictness-counterexample", "language")
 def _lang_strict(rng, cfg):
-    x = program_of((singleton("a"),))
-    y = program_of((singleton("b"),))
+    x = Program((singleton("a"),))
+    y = Program((singleton("b"),))
     interleaved = pcompose(x, y, par)
     sequenced = punion(pcompose(x, y, seq), pcompose(y, x, seq))
     return lang_subset(interleaved, sequenced) and not subset(interleaved, sequenced)

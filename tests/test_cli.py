@@ -179,6 +179,15 @@ def test_dot_file_failure_is_input_error(tmp_path, capsys):
     assert "antisymmetry" in err
 
 
+@pytest.mark.parametrize("command", [["dot"], ["member", "a"]])
+def test_file_with_self_loop_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "loop.txt"
+    path.write_text("events: a\norder: 0 < 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "(0, 0) is not strict" in err
+
+
 def test_star_command_output(capsys):
     code, out, _ = run_cli(capsys, "star", "a", "3")
     assert code == 0

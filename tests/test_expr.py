@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import cka.partial_string
+import cka.program
+
 from cka import (
     LexicalError,
     Par,
@@ -146,6 +149,21 @@ def test_evaluate_is_homomorphic():
     assert equals(
         evaluate(parse_text("a")), program_of((singleton("a"),))
     )
+
+
+def test_evaluate_validates_nothing(monkeypatch):
+    calls = []
+    original = cka.partial_string.validate
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(cka.partial_string, "validate", counting)
+    monkeypatch.setattr(cka.program, "validate", counting)
+    p = evaluate(parse_text("a|b|c|a|b|c|a|b|c"))
+    assert [sorted(g.labels) for g in p.generators] == [list("aaabbbccc")]
+    assert calls == []
 
 
 def test_pretty_round_trips():

@@ -17,6 +17,7 @@ from cka import (
     singleton,
     star,
     subset,
+    zero,
 )
 from cka.cli import _eval_operand, main
 from cka.language import WordAutomaton
@@ -95,8 +96,23 @@ def test_word_count_matches_language_on_multi_generator_programs():
         multi += len(p.generators) > 1
         automaton = WordAutomaton(p.generators)
         assert automaton.count() == len(language(p))
-        assert list(automaton.words(ordered=True)) == sorted(language(p))
+        assert list(automaton.words()) == sorted(language(p))
     assert multi >= 20
+
+
+def test_layered_walks_match_the_oracle_on_the_exhaustive_corpus():
+    corpus = enumerate_all(3, "ab")
+    pairs = itertools.islice(itertools.combinations(corpus, 2), 0, None, 20)
+    twos = [p for p in map(program_of, pairs) if len(p.generators) == 2]
+    assert len(twos) == 41
+    programs = [program_of((x,)) for x in corpus] + [zero()] + twos
+    langs = [frozenset().union(*map(brute_words, p.generators)) for p in programs]
+    for p, words in zip(programs, langs):
+        assert language(p) == words
+        assert WordAutomaton(p.generators).count() == len(words)
+    for p, lp in zip(programs, langs):
+        for q, lq in zip(programs, langs):
+            assert lang_subset(p, q) == (lp <= lq)
 
 
 def test_word_count_matches_extension_count_for_distinct_labels():

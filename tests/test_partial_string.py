@@ -514,6 +514,13 @@ def test_from_text_rejects_cycles():
         from_text("events: a b\norder: 0 < 1\norder: 1 < 0\n")
 
 
+def test_from_text_rejects_self_loops():
+    with pytest.raises(InvalidPartialString, match=r"\(0, 0\) is not strict"):
+        from_text("events: a\norder: 0 < 0")
+    with pytest.raises(InvalidPartialString, match=r"\(1, 1\) is not strict"):
+        from_strict_pairs(("a", "b"), [(0, 1), (1, 1)])
+
+
 def test_from_text_rejects_garbage():
     with pytest.raises(TextFormatError):
         from_text("order: 0 < 1\n")

@@ -113,6 +113,12 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_validate(monkeypatch):
+    calls = _count_calls(monkeypatch, cka.partial_string, "validate")
+    monkeypatch.setattr(cka.program, "validate", cka.partial_string.validate)
+    return calls
+
+
 def _normal_form_by_brute_force(gens):
     distinct = set(gens)
     key = {g: (g.n_events, _shape(g).text()) for g in distinct}
@@ -546,6 +552,14 @@ def test_program_text_round_trip():
     for _ in range(60):
         p = _sample_program(rng, cfg, max_generators=5, max_events=5)
         assert program_from_text(program_to_text(p)) == p
+
+
+def test_program_from_text_validates_each_block_once(monkeypatch):
+    p = program_of((ab_par(), singleton("c"), chain(("a", "a"))))
+    text = program_to_text(p)
+    calls = _count_validate(monkeypatch)
+    assert program_from_text(text) == p
+    assert len(calls) == 3
 
 
 def test_program_text_zero_and_one():
