@@ -22,13 +22,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .expr import ExprError, evaluate, parse, tokenize
+from .expr import evaluate, parse, tokenize
 from .language import WordAutomaton
 from .partial_string import (
     DependenceRelation,
-    InvalidPartialString,
     PartialString,
-    TextFormatError,
     chain,
     find_morphism,
     from_strict_pairs,
@@ -100,13 +98,9 @@ def _eval_operand(text: str, seq_compose) -> Program:
 
 
 def _one_string(
-    expr: Optional[str], path: Optional[str], weak_dep: Optional[str], what: str
+    expr: Optional[str], path: Optional[str], compose, what: str
 ) -> PartialString:
-    """The single partial string given by an expression or by a --file path.
-
-    ``--weak-dep`` is read only when the expression is evaluated, so it is
-    ignored for a file.
-    """
+    """The single partial string given by an expression or by a --file path."""
     if path is not None:
         if expr is not None:
             raise ValueError(f"give either an {what} or --file, not both")
@@ -114,7 +108,7 @@ def _one_string(
             return from_text(handle.read())
     if expr is None:
         raise ValueError(f"an {what} or --file is required")
-    p = _eval_operand(expr, _seq_compose(weak_dep))
+    p = _eval_operand(expr, compose)
     if len(p.generators) != 1:
         raise ValueError(
             f"{what} must denote a single generator, got {len(p.generators)} generators"
@@ -140,8 +134,8 @@ def cmd_refines(args) -> int:
             _eval_operand(args.left, compose), _eval_operand(args.right, compose)
         )
         return _print_verdict(holds, start)
-    left = _one_string(args.left, None, args.weak_dep, "left operand")
-    right = _one_string(args.right, None, args.weak_dep, "right operand")
+    left = _one_string(args.left, None, compose, "left operand")
+    right = _one_string(args.right, None, compose, "right operand")
     witness = find_morphism(right, left)
     if witness is None:
         return _print_verdict(False, start)
@@ -162,7 +156,7 @@ def cmd_equal(args) -> int:
 
 def cmd_member(args) -> int:
     compose = _seq_compose(args.weak_dep)
-    element = _one_string(args.element, args.file, args.weak_dep, "element expression")
+    element = _one_string(args.element, args.file, compose, "element expression")
     holds = contains(_eval_operand(args.program, compose), element)
     print("holds" if holds else "fails")
     return 0 if holds else 1
@@ -184,7 +178,8 @@ def cmd_lang(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    target = _one_string(args.expr, args.file, args.weak_dep, "expression")
+    compose = _seq_compose(args.weak_dep)
+    target = _one_string(args.expr, args.file, compose, "expression")
     print(to_dot(target))
     return 0
 
@@ -293,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ExprError, TextFormatError, InvalidPartialString, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -438,7 +438,14 @@ def hasse(x: PartialString) -> list[tuple[int, int]]:
 
 
 def to_text(x: PartialString) -> str:
-    """Serialize in the line-based text format (cover pairs only)."""
+    """Serialize in the line-based text format (cover pairs only).
+
+    Raises :class:`TextFormatError` for a label that would not load back
+    as one event: an empty one or one holding whitespace.
+    """
+    for lab in dict.fromkeys(x.labels):
+        if lab.split() != [lab]:
+            raise TextFormatError(f"label {lab!r} cannot be written in the text format")
     return _shape(x).text()
 
 

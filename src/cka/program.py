@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .partial_string import (
     PartialString,
@@ -144,17 +144,14 @@ def pcompose(p: Program, q: Program, op: ComposeOp) -> Program:
 
 
 @functools.lru_cache(maxsize=256)
-def _kleene_chain(
-    gens: tuple[PartialString, ...], op: ComposeOp
-) -> list[tuple[Program, Optional[list[PartialString]]]]:
+def _kleene_chain(gens: tuple[PartialString, ...], op: ComposeOp) -> list[Program]:
     """The iterates of ``star`` computed so far for one body and op.
 
-    Entry ``k`` is the ``k``-th iterate and the generators it added, or
-    ``None`` when the step before it composed every generator.  ``star``
+    Iterate ``k`` sits at index ``k``, starting from ``zero()``; ``star``
     extends the list in place.  The 256 most recently used chains are
     kept.
     """
-    return [(zero(), None)]
+    return [zero()]
 
 
 def star(p: Program, op: ComposeOp, bound: int) -> Program:
@@ -165,15 +162,15 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
     monotone chain whose union is the least fixed point; only the finite
     truncations are representable here.  Each iterate is normalized once.
 
-    Iterates are computed semi-naively.  Normalization keeps the
-    serialized-earliest member of each maximal isomorphism class, so
-    ``norm(C + E) == norm(norm(C) + E)``.  When the last iterate kept
-    every generator of the one before, F of it is therefore its own
-    generators plus ``p`` composed with only the generators it added.
-    Otherwise an old generator was absorbed or replaced by an isomorphic
-    copy that sorts earlier, and the step composes every generator again.
-    An iterate that adds nothing is the least fixed point, so the chain
-    stops there.
+    Iterates are computed semi-naively from the last two, ``prev`` and
+    ``acc``.  Two equal iterates are the least fixed point, so the chain
+    stops there.  Normalization keeps the serialized-earliest member of
+    each maximal isomorphism class, so ``norm(C + E) == norm(norm(C) + E)``.
+    When ``acc`` kept every generator of ``prev``, F of it is therefore
+    its own generators plus ``p`` composed with only the delta
+    ``acc - prev``.  Otherwise an old generator was absorbed or replaced
+    by an isomorphic copy that sorts earlier, and the step composes every
+    generator again, as does the first step.
 
     Stars share one chain per body and op within a process: a call
     extends the chain of ``(p.generators, op)`` up to ``bound`` and
@@ -185,22 +182,22 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
     if bound < 1:
         raise ValueError("star bound must be at least 1")
     chain = _kleene_chain(p.generators, op)
-    while len(chain) <= bound and chain[-1][1] != []:
+    # Read and written by index, so a chain that another thread extends
+    # meanwhile keeps iterate k at index k.
+    while len(chain) <= bound:
         k = len(chain)
-        acc, fresh = chain[k - 1]
-        if fresh is None:
-            base, grow = (empty(),), acc.generators
-        else:
-            base, grow = acc.generators, fresh
+        acc = chain[k - 1]
+        base, grow = (empty(),), acc.generators
+        if k > 1:
+            prev = chain[k - 2]
+            if acc == prev:
+                break
+            old = set(prev.generators)
+            if old.issubset(acc.generators):
+                base, grow = acc.generators, [g for g in acc.generators if g not in old]
         gens = tuple(op(g, h) for g in p.generators for h in grow)
-        old, acc = set(acc.generators), normalize_program(Program(base + gens))
-        fresh = None
-        if old.issubset(acc.generators):
-            fresh = [g for g in acc.generators if g not in old]
-        # Read and written by index, so a chain that another thread extends
-        # meanwhile keeps iterate k at index k.
-        chain[k : k + 1] = [(acc, fresh)]
-    return chain[min(bound, len(chain) - 1)][0]
+        chain[k : k + 1] = [normalize_program(Program(base + gens))]
+    return chain[min(bound, len(chain) - 1)]
 
 
 def program_to_text(p: Program) -> str:

@@ -149,27 +149,26 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
     """All pairwise non-isomorphic partial strings of at most ``max_events``.
 
     Generates every DAG in identity-compatible topological order (which
-    covers every poset up to isomorphism), closes it, labels it in all
-    ways, and deduplicates by signature bucket; within one, pair counts
-    are equal, so one :func:`refines` decides isomorphism.
+    covers every poset up to isomorphism), closes it, keeps each distinct
+    closed order once, labels it in all ways, and deduplicates by
+    signature bucket; within one, pair counts are equal, so one
+    :func:`refines` decides isomorphism.
     """
     labs = tuple(alphabet)
     found: list[PartialString] = []
     buckets: dict[tuple, list[int]] = {}
-    seen_exact: set[PartialString] = set()
     for n in range(max_events + 1):
         slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        orders: dict[tuple[int, ...], None] = {}
         for bits in range(1 << len(slots)):
             rows = [1 << i for i in range(n)]
             for b, (i, j) in enumerate(slots):
                 if bits >> b & 1:
                     rows[i] |= 1 << j
-            rows_t = tuple(transitive_closure(rows))
+            orders[tuple(transitive_closure(rows))] = None
+        for rows_t in orders:
             for labelling in itertools.product(labs, repeat=n):
                 ps = PartialString(labelling, rows_t)
-                if ps in seen_exact:
-                    continue
-                seen_exact.add(ps)
                 shape = _shape(ps)
                 key = (shape.labels, shape.pairs, shape.sig)
                 group = buckets.setdefault(key, [])

@@ -264,9 +264,14 @@ def test_weak_dep_stars_share_one_kleene_chain(capsys):
     assert _kleene_chain.cache_info().misses == misses
 
 
-def test_weak_dep_bad_spec(capsys):
+def test_weak_dep_bad_spec(tmp_path, capsys):
     code, _, err = run_cli(capsys, "equal", "a;b", "a;b", "--weak-dep", "nonsense")
     assert code == 2
+    assert "bad dependence item" in err
+    path = tmp_path / "a.txt"
+    path.write_text("events: a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "dot", "--file", str(path), "--weak-dep", "nonsense")
+    assert (code, out) == (2, "")
     assert "bad dependence item" in err
 
 

@@ -40,6 +40,7 @@ from cka.testkit import (
 )
 
 import random
+import re
 
 
 def n4():
@@ -493,6 +494,11 @@ def test_text_round_trip():
     strings += enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
     for x in strings:
         assert from_text(to_text(x)) == x
+    # A label that whitespace splits would not load back as one event.
+    for label in ("a b", "", " a", "a\n", "\t"):
+        for x in (singleton(label), par(singleton("a"), singleton(label))):
+            with pytest.raises(TextFormatError, match=re.escape(repr(label))):
+                to_text(x)
 
 
 def test_validate_accepts_every_operator_output():
