@@ -10,11 +10,19 @@ Refinement ``x`` below ``y`` means a monotone label-preserving bijection
 exists from ``y``'s events onto ``x``'s: every ordering constraint of
 ``y`` is present in ``x``, so ``x`` is the more deterministic of the two.
 All values are immutable; every operation is a pure function.
+
+Values are interned (hash-consed): the constructor returns the live
+object of an equal value when there is one, through a table of weak
+references that drops an entry when its value dies.  Equal values are
+therefore one object, and equality and hashing are by identity.  Each
+value keeps its shape record (:class:`_Shape`), built on first use, for
+as long as the value lives.
 """
 
 from __future__ import annotations
 
-import functools
+import weakref
+from _weakref import _remove_dead_weakref  # as weakref.WeakValueDictionary uses
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -48,9 +56,8 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class PartialString:
-    """A finite labelled partial order.
+    """A finite labelled partial order, interned: one object per value.
 
     ``labels[i]`` is the alphabet symbol of event ``i``.  ``order[i]`` is
     a bitmask row holding every ``j`` with ``i`` preceding-or-equal ``j``;
@@ -58,10 +65,55 @@ class PartialString:
     constructor performs no checking (so :func:`validate` can report on
     hand-built relations); use :func:`from_strict_pairs` or the
     composition operators for guaranteed-valid values.
+
+    The constructor returns the live object of an equal value when there
+    is one, so equal values are one object, and equality and hashing are
+    by identity.  Values are immutable, and ``copy``, ``deepcopy`` and
+    ``pickle`` return the interned object.  A value's shape record (see
+    :class:`_Shape`) is built on first use and lives as long as the value.
     """
+
+    __slots__ = ("labels", "order", "_record", "__weakref__")
 
     labels: tuple[Label, ...]
     order: tuple[int, ...]
+
+    def __new__(cls, labels: Iterable[Label], order: Iterable[int]) -> "PartialString":
+        key = (tuple(labels), tuple(order))
+        ref = _interned.get(key)
+        if ref is not None:
+            x = ref()
+            if x is not None:
+                return x
+        x = object.__new__(cls)
+        _set_slot(x, "labels", key[0])
+        _set_slot(x, "order", key[1])
+        _set_slot(x, "_record", None)
+        ref = _KeyedRef(x, _forget)
+        ref.key = key
+        # setdefault is atomic, so two threads never register one value
+        # twice; an entry whose value died and awaits its callback is
+        # dropped and the insertion retried.
+        while True:
+            old = _interned.setdefault(key, ref)
+            if old is ref:
+                return x
+            winner = old()
+            if winner is not None:
+                return winner
+            _remove_dead_weakref(_interned, key)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PartialString is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PartialString is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return PartialString, (self.labels, self.order)
+
+    def __repr__(self) -> str:
+        return f"PartialString(labels={self.labels!r}, order={self.order!r})"
 
     @property
     def n_events(self) -> int:
@@ -78,6 +130,21 @@ class PartialString:
     def order_pair_count(self) -> int:
         """Number of order pairs, reflexive pairs included."""
         return sum(row.bit_count() for row in self.order)
+
+
+class _KeyedRef(weakref.ref):
+    """A weak reference that remembers its value's key in ``_interned``."""
+
+    __slots__ = ("key",)
+
+
+# The live values, by (labels, order); an entry leaves when its value dies.
+_interned: dict[tuple, _KeyedRef] = {}
+_set_slot = object.__setattr__
+
+
+def _forget(ref: _KeyedRef) -> None:
+    _remove_dead_weakref(_interned, ref.key)
 
 
 @dataclass(frozen=True)
@@ -270,15 +337,19 @@ def weakseq(
 
 
 class _Shape:
-    """A value's sorted labels, strict pair count, strict down/up masks and
-    ``sig``: sorted per-event (label rank, |down|, |up|) ints packed in one."""
+    """A value's sorted labels, strict pair count and strict down/up masks.
 
-    __slots__ = ("ps", "labels", "pairs", "down", "up", "sig", "_text")
+    ``sig`` packs the sorted per-event (label rank, |down|, |up|) ints in
+    one int, computed on first read: only normalization of label groups
+    of two or more reads it.  :func:`_shape` builds one record per value,
+    kept on the value; the record holds no reference to it.
+    """
+
+    __slots__ = ("events", "labels", "pairs", "down", "up", "_sig", "_text")
 
     def __init__(self, ps: PartialString) -> None:
-        n = len(ps.labels)
         up = [row & ~(1 << i) for i, row in enumerate(ps.order)]
-        down = [0] * n
+        down = [0] * len(up)
         pairs = 0
         # Bits walked inline, not with _bits: every fresh value builds this.
         for i, row in enumerate(up):
@@ -288,26 +359,39 @@ class _Shape:
                 low = row & -row
                 down[low.bit_length() - 1] |= bit
                 row ^= low
-        labels = tuple(sorted(ps.labels))
-        width, sig = (n**3).bit_length(), 0
-        for v in sorted(
-            (labels.index(lab) * n + d.bit_count()) * n + u.bit_count()
-            for lab, d, u in zip(ps.labels, down, up)
-        ):
-            sig = sig << width | v
-        self.ps, self.labels, self.pairs, self.sig = ps, labels, pairs, sig
-        self.down, self.up, self._text = tuple(down), tuple(up), None
+        self.events, self.labels, self.pairs = ps.labels, tuple(sorted(ps.labels)), pairs
+        self.down, self.up, self._sig, self._text = tuple(down), tuple(up), None, None
+
+    @property
+    def sig(self) -> int:
+        if self._sig is None:
+            n, labels = len(self.events), self.labels
+            width, sig = (n**3).bit_length(), 0
+            for v in sorted(
+                (labels.index(lab) * n + d.bit_count()) * n + u.bit_count()
+                for lab, d, u in zip(self.events, self.down, self.up)
+            ):
+                sig = sig << width | v
+            self._sig = sig
+        return self._sig
 
     def text(self) -> str:
         """The text format (cover pairs only), serialized on first call."""
         if self._text is None:
-            lines = ["events:" + "".join(" " + lab for lab in self.ps.labels)]
-            lines.extend(f"order: {i} < {j}" for i, j in hasse(self.ps))
+            lines = ["events:" + "".join(" " + lab for lab in self.events)]
+            lines.extend(f"order: {i} < {j}" for i, j in _covers(self.up))
             self._text = "\n".join(lines)
         return self._text
 
 
-_shape = functools.lru_cache(maxsize=65536)(_Shape)
+def _shape(x: PartialString) -> _Shape:
+    """``x``'s shape record, built on first use and kept on ``x``."""
+    record = x._record
+    if record is None:
+        # Two threads may both build it; either record is the same.
+        record = _Shape(x)
+        _set_slot(x, "_record", record)
+    return record
 
 
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
@@ -386,9 +470,10 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
 def refines(x: PartialString, y: PartialString) -> bool:
     """True when ``x`` carries at least ``y``'s ordering constraints.
 
-    Decided by searching for a morphism from ``y`` onto ``x``, unless equal.
+    Decided by searching for a morphism from ``y`` onto ``x``, unless the
+    two are equal, and so, being interned, one object.
     """
-    return x == y or find_morphism(y, x) is not None
+    return x is y or find_morphism(y, x) is not None
 
 
 def isomorphic(x: PartialString, y: PartialString) -> bool:
@@ -418,13 +503,17 @@ def exchange_holds(
 
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
-    """Cover pairs: the transitive reduction of the strict order.
+    """Cover pairs: the transitive reduction of the strict order."""
+    return _covers(_shape(x).up)
+
+
+def _covers(up: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover pairs of strict up masks.
 
     Each row's successors are walked lowest index first, skipping those
     already above a visited one: their up-sets lie inside its up-set, so
     ``implied`` ends as the union over every successor either way.
     """
-    up = _shape(x).up
     covers = []
     for i, row in enumerate(up):
         implied, walk = 0, row

@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 
 from .partial_string import (
     PartialString,
-    _Shape,
     _shape,
     empty,
     from_text,
@@ -67,29 +66,38 @@ def normalize_program(p: Program) -> Program:
     """
     if len(p.generators) < 2:
         return p
-    groups: dict[tuple, list[_Shape]] = {}
+    groups: dict[tuple, list[PartialString]] = {}
     for g in dict.fromkeys(p.generators):
-        shape = _shape(g)
-        groups.setdefault(shape.labels, []).append(shape)
-    kept: list[_Shape] = []
+        groups.setdefault(_shape(g).labels, []).append(g)
+    kept: list[PartialString] = []
     for group in groups.values():
         if len(group) == 1:
             kept.append(group[0])
             continue
         start = len(kept)
         pairs = sig = None
-        for s in sorted(group, key=lambda s: (s.pairs, s.sig, s.text())):
+        for g in sorted(group, key=_absorption_order):
+            s = _shape(g)
             if s.pairs != pairs:
                 layer, pairs = len(kept), s.pairs  # kept[start:layer]: fewer pairs
             if s.sig != sig:
                 twin, sig = len(kept), s.sig  # kept[twin:]: same signature
             for t in kept[start:layer] + kept[twin:]:
-                if refines(s.ps, t.ps):
+                if refines(g, t):
                     break
             else:
-                kept.append(s)
-    kept.sort(key=lambda s: (len(s.labels), s.text()))
-    return Program(tuple(s.ps for s in kept))
+                kept.append(g)
+    kept.sort(key=_serialized_order)
+    return Program(tuple(kept))
+
+
+def _absorption_order(g: PartialString) -> tuple:
+    s = _shape(g)
+    return s.pairs, s.sig, s.text()
+
+
+def _serialized_order(g: PartialString) -> tuple:
+    return len(g.labels), _shape(g).text()
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:

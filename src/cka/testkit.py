@@ -190,13 +190,19 @@ def _sample_string(
     n = rng.randint(0, cap)
     layout = list(range(n))
     rng.shuffle(layout)
-    rows = [1 << i for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < cfg.edge_probability:
-                rows[layout[a]] |= 1 << layout[b]
-    labels = tuple(rng.choice(cfg.alphabet) for _ in range(n))
-    return PartialString(labels, tuple(transitive_closure(rows)))
+    draw, p = rng.random, cfg.edge_probability
+    # Edges run from layout position a to each later b drawn; the layout is
+    # then a topological order, so one backward sweep closes the rows.
+    succ = [[b for b in range(a + 1, n) if draw() < p] for a in range(n)]
+    rows = [0] * n
+    for a in reversed(range(n)):
+        row = 1 << layout[a]
+        for b in succ[a]:
+            row |= rows[layout[b]]
+        rows[layout[a]] = row
+    choice, alphabet = rng.choice, cfg.alphabet
+    labels = tuple([choice(alphabet) for _ in range(n)])
+    return PartialString(labels, tuple(rows))
 
 
 def _strengthened(rng: random.Random, x: PartialString) -> PartialString:

@@ -1,4 +1,8 @@
+import copy
 import functools
+import pickle
+import sys
+import threading
 
 import pytest
 
@@ -86,6 +90,67 @@ def test_par_of_singletons_is_antichain():
 def test_chain_is_totally_ordered():
     c = chain(("a", "b", "c"))
     assert all(c.leq(i, j) for i in range(3) for j in range(i, 3))
+
+
+def test_equal_values_built_by_different_routes_are_one_object():
+    word = chain(("a", "b", "c"))
+    assert from_text("events: a b c\norder: 0 < 1\norder: 1 < 2") is word
+    assert seq(seq(singleton("a"), singleton("b")), singleton("c")) is word
+    assert PartialString(["a", "b", "c"], [0b111, 0b110, 0b100]) is word
+    assert from_strict_pairs("abc", [(0, 2), (1, 2), (0, 1)]) is word
+    assert par(singleton("a"), singleton("b")) is not seq(singleton("a"), singleton("b"))
+    assert {word: 1}[chain("abc")] == 1
+
+
+def test_copies_and_pickles_return_the_interned_object():
+    for x in (empty(), n4(), p4(), chain("ab" * 40)):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert copy.deepcopy([x, x]) == [x, x]
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert repr(singleton("a")) == "PartialString(labels=('a',), order=(1,))"
+
+
+def test_partial_strings_cannot_be_changed():
+    x = chain("ab")
+    for name, value in (("labels", ("b", "a")), ("order", (1, 2)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    with pytest.raises(AttributeError):
+        del x.labels
+    assert x.labels == ("a", "b") and x.order == (0b11, 0b10)
+
+
+def test_threads_building_equal_values_get_one_object_per_value():
+    # Labels used nowhere else, so every value starts out absent.
+    labels = ("thread-a", "thread-b")
+    values = [
+        (tuple(labels[i >> k & 1] for k in range(n)), tuple(1 << k for k in range(n)))
+        for n in range(1, 9)
+        for i in range(1 << n)
+    ]
+    barrier = threading.Barrier(8)
+    built: list[list[PartialString]] = [[] for _ in range(8)]
+
+    def build(out):
+        barrier.wait(timeout=30)
+        out.extend(PartialString(list(lab), list(order)) for lab, order in values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(values) for out in built)
+    for objs in zip(*built):
+        assert all(obj is objs[0] for obj in objs)
+    assert len({id(obj) for obj in built[0]}) == len(values)
 
 
 def test_validate_accepts_chain():
@@ -354,7 +419,7 @@ def test_equal_values_are_decided_without_search(monkeypatch):
     )
     for make in (empty, n4, p4, lambda: chain("ab" * 600)):
         x, y = make(), make()
-        assert x is not y
+        assert x is y
         assert refines(x, y) and refines(y, x) and isomorphic(x, y)
     assert calls == []
     assert not refines(p4(), n4())

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -357,17 +358,42 @@ def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
 
 
 def test_star_builds_one_record_per_distinct_generator(monkeypatch):
-    a_or_b = program_of((singleton("a"), singleton("b")))
     _kleene_chain.cache_clear()
-    _shape.cache_clear()
+    builds = _count_calls(monkeypatch, cka.partial_string, "_Shape")
+    a_or_b = program_of((singleton("a"), singleton("b")))
     words = star(a_or_b, seq, 7)
     # Every generator met on the way is one of the 2**7 - 1 final words.
     assert len(words.generators) == 2**7 - 1
-    assert _shape.cache_info().misses == 2**7 - 1
+    assert len(builds) == 2**7 - 1
     covers = _count_calls(monkeypatch, cka.partial_string, "hasse")
     program_to_text(words)
     assert covers == []
-    assert _shape.cache_info().misses == 2**7 - 1
+    assert len(builds) == 2**7 - 1
+
+
+def test_dropped_chain_leaves_the_intern_table():
+    a_or_b = program_of((singleton("a"), singleton("b")))
+    _kleene_chain.cache_clear()
+    gc.collect()
+    before = len(cka.partial_string._interned)
+    words = star(a_or_b, seq, 12)
+    assert len(cka.partial_string._interned) >= before + 4000
+    del words
+    _kleene_chain.cache_clear()
+    gc.collect()
+    assert len(cka.partial_string._interned) <= before
+
+
+def test_normalize_reads_no_signature_of_a_lone_generator(monkeypatch):
+    reads = []
+    sig = _Shape.sig
+    monkeypatch.setattr(_Shape, "sig", property(lambda s: reads.append(s) or sig.fget(s)))
+    gens = (chain("bbb"), ab_par(), singleton("a"), chain("aab"), singleton("a"))
+    out = normalize_program(Program(gens))
+    assert out.generators == (singleton("a"), ab_par(), chain("aab"), chain("bbb"))
+    assert reads == []
+    normalize_program(Program((ab_seq(), ab_par())))
+    assert reads
 
 
 def test_evaluate_long_seq_chain_skips_serialization(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from cka import (
     GenConfig,
     LAWS,
+    PartialString,
     brute_force_refines,
     chain,
     enumerate_all,
@@ -16,6 +17,7 @@ from cka import (
     refines,
     seq,
     singleton,
+    transitive_closure,
     validate,
 )
 from cka.testkit import (
@@ -89,6 +91,37 @@ def test_random_partial_strings_validate():
     cfg = GenConfig(max_events=6, alphabet=("a", "b", "c"), edge_probability=0.5, seed=1)
     for _ in range(10_000):
         validate(_sample_string(rng, cfg))
+
+
+def _sample_string_as_first_written(rng, cfg, max_events=None):
+    """The sampler as first written: draws in the same order, closes rows at the end."""
+    cap = cfg.max_events if max_events is None else max_events
+    n = rng.randint(0, cap)
+    layout = list(range(n))
+    rng.shuffle(layout)
+    rows = [1 << i for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < cfg.edge_probability:
+                rows[layout[a]] |= 1 << layout[b]
+    labels = tuple(rng.choice(cfg.alphabet) for _ in range(n))
+    return PartialString(labels, tuple(transitive_closure(rows)))
+
+
+def test_sampler_draws_the_stream_it_was_first_written_with():
+    for seed in range(60):
+        cfg = GenConfig(
+            max_events=seed % 9,
+            alphabet=("a", "b", "c")[: 1 + seed % 3],
+            edge_probability=seed % 11 / 10,
+            seed=seed,
+        )
+        fast, reference = random.Random(seed), random.Random(seed)
+        for i in range(100):
+            cap = None if i % 3 else i % 8
+            x = _sample_string(fast, cfg, cap)
+            assert x is _sample_string_as_first_written(reference, cfg, cap)
+        assert fast.random() == reference.random()
 
 
 def test_zero_edge_probability_gives_antichains():
