@@ -104,7 +104,7 @@ def _one_string(
     if path is not None:
         if expr is not None:
             raise ValueError(f"give either an {what} or --file, not both")
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return from_text(handle.read())
     if expr is None:
         raise ValueError(f"an {what} or --file is required")

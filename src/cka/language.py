@@ -60,7 +60,7 @@ class WordAutomaton:
             last: dict[tuple, int] = {}
             events = []
             for e in range(n):
-                key = (g.labels[e], shape.down[e], shape.up[e])
+                key = (g.labels[e], shape.down[e], g.order[e] ^ 1 << e)
                 twin = last.get(key)
                 last[key] = e
                 pred = shape.down[e] if twin is None else shape.down[e] | 1 << twin

@@ -89,8 +89,7 @@ class PartialString:
         _set_slot(x, "labels", key[0])
         _set_slot(x, "order", key[1])
         _set_slot(x, "_record", None)
-        ref = _KeyedRef(x, _forget)
-        ref.key = key
+        ref = weakref.KeyedRef(x, _forget, key)
         # setdefault is atomic, so two threads never register one value
         # twice; an entry whose value died and awaits its callback is
         # dropped and the insertion retried.
@@ -125,25 +124,19 @@ class PartialString:
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs with the reflexive diagonal removed."""
-        return [(i, j) for i, row in enumerate(_shape(self).up) for j in _bits(row)]
+        return [(i, j) for i, row in enumerate(self.order) for j in _bits(row ^ 1 << i)]
 
     def order_pair_count(self) -> int:
         """Number of order pairs, reflexive pairs included."""
         return sum(row.bit_count() for row in self.order)
 
 
-class _KeyedRef(weakref.ref):
-    """A weak reference that remembers its value's key in ``_interned``."""
-
-    __slots__ = ("key",)
-
-
 # The live values, by (labels, order); an entry leaves when its value dies.
-_interned: dict[tuple, _KeyedRef] = {}
+_interned: dict[tuple, weakref.KeyedRef] = {}
 _set_slot = object.__setattr__
 
 
-def _forget(ref: _KeyedRef) -> None:
+def _forget(ref: weakref.KeyedRef) -> None:
     _remove_dead_weakref(_interned, ref.key)
 
 
@@ -337,30 +330,34 @@ def weakseq(
 
 
 class _Shape:
-    """A value's sorted labels, strict pair count and strict down/up masks.
+    """What a value's ``order`` rows do not answer directly.
 
-    ``sig`` packs the sorted per-event (label rank, |down|, |up|) ints in
-    one int, computed on first read: only normalization of label groups
-    of two or more reads it.  :func:`_shape` builds one record per value,
-    kept on the value; the record holds no reference to it.
+    The record holds the value's sorted labels, its strict pair count and
+    its strict down masks (bit ``i`` of ``down[j]`` set when ``i`` strictly
+    precedes ``j``); readers take the up side from ``order``.  ``sig``
+    packs the sorted per-event (label rank, |down|, |up|) ints in one int,
+    computed on first read: only normalization of label groups of two or
+    more reads it.  :func:`_shape` builds one record per value, kept on the
+    value; the record refers to the value's ``labels`` and ``order``
+    tuples, never to the value.
     """
 
-    __slots__ = ("events", "labels", "pairs", "down", "up", "_sig", "_text")
+    __slots__ = ("events", "order", "labels", "pairs", "down", "_sig", "_text")
 
     def __init__(self, ps: PartialString) -> None:
-        up = [row & ~(1 << i) for i, row in enumerate(ps.order)]
-        down = [0] * len(up)
+        down = [0] * len(ps.order)
         pairs = 0
         # Bits walked inline, not with _bits: every fresh value builds this.
-        for i, row in enumerate(up):
-            pairs += row.bit_count()
+        for i, row in enumerate(ps.order):
             bit = 1 << i
+            row ^= bit
+            pairs += row.bit_count()
             while row:
                 low = row & -row
                 down[low.bit_length() - 1] |= bit
                 row ^= low
-        self.events, self.labels, self.pairs = ps.labels, tuple(sorted(ps.labels)), pairs
-        self.down, self.up, self._sig, self._text = tuple(down), tuple(up), None, None
+        self.events, self.order, self.labels = ps.labels, ps.order, tuple(sorted(ps.labels))
+        self.pairs, self.down, self._sig, self._text = pairs, tuple(down), None, None
 
     @property
     def sig(self) -> int:
@@ -368,8 +365,8 @@ class _Shape:
             n, labels = len(self.events), self.labels
             width, sig = (n**3).bit_length(), 0
             for v in sorted(
-                (labels.index(lab) * n + d.bit_count()) * n + u.bit_count()
-                for lab, d, u in zip(self.events, self.down, self.up)
+                (labels.index(lab) * n + d.bit_count()) * n + u.bit_count() - 1
+                for lab, d, u in zip(self.events, self.down, self.order)
             ):
                 sig = sig << width | v
             self._sig = sig
@@ -379,7 +376,7 @@ class _Shape:
         """The text format (cover pairs only), serialized on first call."""
         if self._text is None:
             lines = ["events:" + "".join(" " + lab for lab in self.events)]
-            lines.extend(f"order: {i} < {j}" for i, j in _covers(self.up))
+            lines.extend(f"order: {i} < {j}" for i, j in _covers(self.order))
             self._text = "\n".join(lines)
         return self._text
 
@@ -420,7 +417,10 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
         for t in reversed(range(n)):
             slots.setdefault(tgt.labels[t], []).append(t)
         return Morphism(tuple(slots[label].pop() for label in src.labels))
-    s_down, s_up, t_down, t_up = s_shape.down, s_shape.up, t_shape.down, t_shape.up
+    # Up masks are order rows, own bit included: it adds one to every
+    # up-set size on both sides, an event is never placed when it is
+    # tested, and an image is never in ``above``, so no test below changes.
+    s_down, s_up, t_down, t_up = s_shape.down, src.order, t_shape.down, tgt.order
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
     cand = []
@@ -504,22 +504,24 @@ def exchange_holds(
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
     """Cover pairs: the transitive reduction of the strict order."""
-    return _covers(_shape(x).up)
+    return _covers(x.order)
 
 
-def _covers(up: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover pairs of strict up masks.
+def _covers(order: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover pairs of reflexive order rows.
 
-    Each row's successors are walked lowest index first, skipping those
-    already above a visited one: their up-sets lie inside its up-set, so
-    ``implied`` ends as the union over every successor either way.
+    Each row's strict successors are walked lowest index first, skipping
+    those already above a visited one: their up-sets lie inside its
+    up-set, so ``implied`` ends as the union over every successor's strict
+    up-set either way.
     """
     covers = []
-    for i, row in enumerate(up):
+    for i, row in enumerate(order):
+        row ^= 1 << i
         implied, walk = 0, row
         while walk:
             low = walk & -walk
-            implied |= up[low.bit_length() - 1]
+            implied |= order[low.bit_length() - 1] ^ low
             walk &= ~(low | implied)
         for j in _bits(row & ~implied):
             covers.append((i, j))

@@ -179,6 +179,17 @@ def test_dot_file_failure_is_input_error(tmp_path, capsys):
     assert "antisymmetry" in err
 
 
+@pytest.mark.parametrize(
+    "command, shown", [(["dot"], "  e0 -> e1;\n"), (["member", "a|b"], "holds\n")]
+)
+def test_file_with_byte_order_mark_is_read(tmp_path, capsys, command, shown):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfevents: a b\norder: 0 < 1\n")
+    code, out, err = run_cli(capsys, *command, "--file", str(path))
+    assert (code, err) == (0, "")
+    assert shown in out
+
+
 @pytest.mark.parametrize("command", [["dot"], ["member", "a"]])
 def test_file_with_self_loop_is_input_error(tmp_path, capsys, command):
     path = tmp_path / "loop.txt"

@@ -115,6 +115,19 @@ def test_layered_walks_match_the_oracle_on_the_exhaustive_corpus():
             assert lang_subset(p, q) == (lp <= lq)
 
 
+def test_twin_events_leave_one_item_per_state():
+    # Equal label, down-set and up-set: the automaton takes twins in index
+    # order, so a state never holds two items that differ only by which twin.
+    for expr, n_states in [("a|a|a|a|a|a", 7), ("(a|a);(b|b)", 5)]:
+        automaton = WordAutomaton(_eval_operand(expr, seq).generators)
+        layer, states = {automaton.start}, 0
+        while layer:
+            assert all(len(state) == 1 for state in layer)
+            states += len(layer)
+            layer = {s for state in layer for s in automaton.successors(state).values()}
+        assert states == n_states and automaton.count() == 1
+
+
 def test_word_count_matches_extension_count_for_distinct_labels():
     rng = random.Random(26)
     for _ in range(30):

@@ -540,6 +540,15 @@ def test_shape_record_matches_definitions_from_order():
         assert to_text(x) == text
 
 
+def test_covers_and_strict_pairs_build_no_record():
+    x = from_strict_pairs(("covers0", "covers1", "covers2"), [(0, 1), (1, 2)])
+    assert x._record is None
+    assert hasse(x) == [(0, 1), (1, 2)]
+    assert x.strict_pairs() == [(0, 1), (0, 2), (1, 2)]
+    assert "e1 -> e2;" in to_dot(x)
+    assert x._record is None
+
+
 def test_hasse_of_chain():
     assert hasse(chain(("a", "b", "c"))) == [(0, 1), (1, 2)]
 
