@@ -2,8 +2,8 @@
 
 Subcommands: refines, equal, member, lang, dot, laws, star.  Exit code 0
 means the query holds, 1 means it fails, 2 means the input was rejected
-(lexical, syntax, file or validation error, or nesting too deep to
-evaluate), 4 means an internal error (a bug); 3 is kept for budgets.
+(lexical, syntax, file or validation error), 4 means an internal error
+(a bug); 3 is kept for budgets.
 
 Two pre-built four-event partial strings are available as complete
 operands: ``P4``, two independent two-chains with labels a,b each, and
@@ -290,9 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug: never report it as a failing query
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

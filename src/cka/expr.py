@@ -11,6 +11,11 @@ operators' symbols and nodes, loosest first (a symbol's index is its
 precedence), and ``_STARS`` maps each star keyword to its node.  The
 tokenizer, parser and printer all read them.
 
+Parsing, evaluating and printing walk a term on explicit stacks, so how
+deeply a term nests is limited by memory, not by Python's recursion
+limit.  The dataclass ``==``, ``hash`` and ``repr`` of the nodes still
+recurse, so compare deep trees by their ``pretty`` text.
+
 Errors carry 0-based byte offsets into the UTF-8 input.  A lone
 surrogate (how ``sys.argv`` carries a byte that is not UTF-8) counts as
 the three bytes of its ``surrogatepass`` encoding.
@@ -97,6 +102,10 @@ Expr = Zero | One | Sym | Seq | Par | Union | SeqStar | ParStar
 
 _BINARY = (("+", Union), ("|", Par), (";", Seq))
 _STARS = {"seqstar": SeqStar, "parstar": ParStar}
+# A binary symbol's and node's level (index in _BINARY); a star node's keyword.
+_LEVEL = {symbol: level for level, (symbol, _) in enumerate(_BINARY)}
+_NODE_LEVEL = {node: level for level, (_, node) in enumerate(_BINARY)}
+_KEYWORD = {node: keyword for keyword, node in _STARS.items()}
 
 _TOKEN = re.compile(
     rb"(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<INT>[0-9]+)|(?P<PUNCT>[%s(),])"
@@ -127,77 +136,84 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.pos = 0
+def _expect(tok: Token, kind: str) -> None:
+    if tok.kind != kind:
+        raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.offset)
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
 
-    def take(self, kind: str | None = None) -> Token:
-        tok = self.toks[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.offset)
-        self.pos += 1
-        return tok
-
-    def binary(self, level: int = 0) -> Expr:
-        """A left-associative chain of ``_BINARY[level]`` over tighter operands."""
-        symbol, node = _BINARY[level]
-        last = level + 1 == len(_BINARY)
-        e = self.primary() if last else self.binary(level + 1)
-        while self.peek().kind == symbol:
-            self.take()
-            e = node(e, self.primary() if last else self.binary(level + 1))
-        return e
-
-    def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.take()
-            return Sym(tok.text)
-        if tok.kind == "INT":
-            self.take()
-            if tok.text == "0":
-                return Zero()
-            if tok.text == "1":
-                return One()
-            raise ParseError(f"unexpected integer {tok.text!r}", tok.offset)
-        if tok.kind == "(":
-            self.take()
-            e = self.binary()
-            self.take(")")
-            return e
-        node = _STARS.get(tok.kind.lower())
-        if node is not None:
-            self.take()
-            self.take("(")
-            body = self.binary()
-            self.take(",")
-            bound_tok = self.take("INT")
-            bound = int(bound_tok.text)
-            if bound < 1:
-                raise ParseError(
-                    "star bound must be a positive integer", bound_tok.offset
-                )
-            self.take(")")
-            return node(body, bound)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
+def _bound(tok: Token) -> int:
+    _expect(tok, "INT")
+    if int(tok.text) < 1:
+        raise ParseError("star bound must be a positive integer", tok.offset)
+    return int(tok.text)
 
 
 def parse(tokens: list[Token]) -> Expr:
-    """Parse a token sequence into an expression tree."""
-    parser = _Parser(tokens)
-    e = parser.binary()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"unexpected token {tail.text!r}", tail.offset)
-    return e
+    """Parse a token sequence into an expression tree.
+
+    Precedence climbing on two explicit stacks, so nesting is limited by
+    memory alone: ``operands`` holds the finished subterms, and
+    ``pending`` the binary operators still waiting for a right operand
+    (as their level in ``_BINARY``) and the open ``(`` and star forms
+    (as ``None`` and the star's node).  Every token is read once, in
+    order, and the trailing EOF token stops the reading.
+    """
+    operands: list[Expr] = []
+    pending: list = []
+    toks = iter(tokens)
+    while True:
+        tok = next(toks)
+        if tok.kind == "IDENT":
+            operands.append(Sym(tok.text))
+        elif tok.kind == "INT" and tok.text in ("0", "1"):
+            operands.append(Zero() if tok.text == "0" else One())
+        elif tok.kind == "(" or tok.kind.lower() in _STARS:
+            if tok.kind != "(":
+                _expect(next(toks), "(")
+            pending.append(_STARS.get(tok.kind.lower()))
+            continue
+        else:
+            what = "integer" if tok.kind == "INT" else "token"
+            raise ParseError(f"unexpected {what} {tok.text!r}", tok.offset)
+        # An operand is complete: apply the operators and closers after it.
+        while True:
+            tok = next(toks)
+            level = _LEVEL.get(tok.kind, -1)
+            while pending and type(pending[-1]) is int and pending[-1] >= level:
+                right = operands.pop()
+                operands[-1] = _BINARY[pending.pop()][1](operands[-1], right)
+            if level >= 0 or not pending:
+                break
+            node = pending.pop()
+            if node is not None:
+                _expect(tok, ",")
+                operands[-1] = node(operands[-1], _bound(next(toks)))
+                tok = next(toks)
+            _expect(tok, ")")
+        if level < 0:
+            if tok.kind != "EOF":
+                raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
+            return operands[0]
+        pending.append(level)
 
 
 def parse_text(text: str) -> Expr:
     return parse(tokenize(text))
+
+
+def _children_first(e: Expr) -> list:
+    """The nodes of ``e``, each after its children, left subtree first."""
+    nodes, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        kind = type(node)
+        if kind in _NODE_LEVEL:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind in _KEYWORD:
+            todo.append(node.body)
+    return nodes[::-1]
 
 
 def evaluate(e: Expr, seq_compose: ComposeOp = seq) -> Program:
@@ -207,45 +223,43 @@ def evaluate(e: Expr, seq_compose: ComposeOp = seq) -> Program:
     weak sequencing with a fixed dependence relation; concurrent
     composition and union are fixed.
     """
-    if isinstance(e, Zero):
-        return zero()
-    if isinstance(e, One):
-        return one()
-    if isinstance(e, Sym):
-        return Program((singleton(e.label),))
-    if isinstance(e, Union):
-        return punion(evaluate(e.left, seq_compose), evaluate(e.right, seq_compose))
-    compose = seq_compose if isinstance(e, (Seq, SeqStar)) else par
-    if isinstance(e, (Seq, Par)):
-        return pcompose(
-            evaluate(e.left, seq_compose), evaluate(e.right, seq_compose), compose
-        )
-    if isinstance(e, (SeqStar, ParStar)):
-        return star(evaluate(e.body, seq_compose), compose, e.bound)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_PRETTY_BINARY = {node: (prec, sym) for prec, (sym, node) in enumerate(_BINARY, 1)}
-_PRETTY_STARS = {node: keyword for keyword, node in _STARS.items()}
+    values: list[Program] = []
+    for node in _children_first(e):
+        kind = type(node)
+        compose = seq_compose if kind is Seq or kind is SeqStar else par
+        if kind is Sym:
+            values.append(Program((singleton(node.label),)))
+        elif kind is Zero or kind is One:
+            values.append(zero() if kind is Zero else one())
+        elif kind in _KEYWORD:
+            values[-1] = star(values[-1], compose, node.bound)
+        elif kind in _NODE_LEVEL:
+            right = values.pop()
+            if kind is Union:
+                values[-1] = punion(values[-1], right)
+            else:
+                values[-1] = pcompose(values[-1], right, compose)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values[0]
 
 
 def pretty(e: Expr) -> str:
     """Render with minimal parentheses so parsing the output rebuilds ``e``."""
-
-    def go(node: Expr, parent_prec: int, right_side: bool) -> str:
+    texts: list[str] = []
+    for node in _children_first(e):
         kind = type(node)
-        if kind is Zero:
-            return "0"
-        if kind is One:
-            return "1"
-        if kind is Sym:
-            return node.label
-        if kind in _PRETTY_STARS:
-            return f"{_PRETTY_STARS[kind]}({go(node.body, 0, False)},{node.bound})"
-        prec, symbol = _PRETTY_BINARY[kind]
-        text = f"{go(node.left, prec, False)}{symbol}{go(node.right, prec, True)}"
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({text})"
-        return text
-
-    return go(e, 0, False)
+        if kind in _NODE_LEVEL:
+            # Leaves and stars (no level) bind tighter than any operator.
+            level = _NODE_LEVEL[kind]
+            right = texts.pop()
+            if _NODE_LEVEL.get(type(node.right), len(_BINARY)) <= level:
+                right = f"({right})"
+            if _NODE_LEVEL.get(type(node.left), len(_BINARY)) < level:
+                texts[-1] = f"({texts[-1]})"
+            texts[-1] += _BINARY[level][0] + right
+        elif kind in _KEYWORD:
+            texts[-1] = f"{_KEYWORD[kind]}({texts[-1]},{node.bound})"
+        else:
+            texts.append("0" if kind is Zero else "1" if kind is One else node.label)
+    return texts[0]

@@ -89,7 +89,8 @@ class PartialString:
         _set_slot(x, "labels", key[0])
         _set_slot(x, "order", key[1])
         _set_slot(x, "_record", None)
-        ref = weakref.KeyedRef(x, _forget, key)
+        ref = _Ref(x, _forget)
+        ref.key = key
         # setdefault is atomic, so two threads never register one value
         # twice; an entry whose value died and awaits its callback is
         # dropped and the insertion retried.
@@ -131,12 +132,23 @@ class PartialString:
         return sum(row.bit_count() for row in self.order)
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned value that remembers its table key.
+
+    ``weakref.KeyedRef`` does the same, but its ``__new__`` and
+    ``__init__`` are written in Python, which makes registering a fresh
+    value several times slower.
+    """
+
+    __slots__ = ("key",)
+
+
 # The live values, by (labels, order); an entry leaves when its value dies.
-_interned: dict[tuple, weakref.KeyedRef] = {}
+_interned: dict[tuple, _Ref] = {}
 _set_slot = object.__setattr__
 
 
-def _forget(ref: weakref.KeyedRef) -> None:
+def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_interned, ref.key)
 
 

@@ -191,9 +191,9 @@ def star(p: Program, op: ComposeOp, bound: int) -> Program:
         raise ValueError("star bound must be at least 1")
     chain = _kleene_chain(p.generators, op)
     # Read and written by index, so a chain that another thread extends
-    # meanwhile keeps iterate k at index k.
-    while len(chain) <= bound:
-        k = len(chain)
+    # meanwhile keeps iterate k at index k.  k is read once per step, so
+    # the chain never grows past the largest bound asked for.
+    while (k := len(chain)) <= bound:
         acc = chain[k - 1]
         base, grow = (empty(),), acc.generators
         if k > 1:

@@ -337,15 +337,14 @@ def test_module_entry_point_runs():
     assert proc.stdout.splitlines()[0] == "holds"
 
 
-def test_long_operator_chain_is_input_error(capsys):
-    code, out, err = run_cli(capsys, "lang", ";".join(["a"] * 3000))
-    assert code == 2
-    assert out == ""
-    assert err == "error: input nests too deeply\n"
+def test_long_operator_chain_evaluates(capsys):
+    code, out, err = run_cli(capsys, "dot", ";".join(["a"] * 1000))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(" [label=" in line for line in lines) == 1000
+    assert sum(" -> " in line for line in lines) == 999
 
 
-def test_deep_parentheses_are_input_error(capsys):
+def test_deep_parentheses_evaluate(capsys):
     code, out, err = run_cli(capsys, "lang", "(" * 3000 + "a" + ")" * 3000)
-    assert code == 2
-    assert out == ""
-    assert err == "error: input nests too deeply\n"
+    assert (code, out, err) == (0, "a\n", "")

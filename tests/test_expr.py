@@ -113,6 +113,54 @@ def test_parse_errors_name_token_and_offset():
     assert "end of input" in str(err.value)
 
 
+# Each term with its ParseError text (offset included) or, when it
+# parses, its pretty form.
+PARSE_TABLE = [
+    ("a;;b", "unexpected token ';' (offset 2)"),
+    ("(a,b)", "expected ')', found ',' (offset 2)"),
+    ("seqstar a", "expected '(', found 'a' (offset 8)"),
+    ("seqstar(a,b)", "expected 'INT', found 'b' (offset 10)"),
+    ("seqstar(a,1,2)", "expected ')', found ',' (offset 11)"),
+    ("seqstar(a,0)", "star bound must be a positive integer (offset 10)"),
+    ("seqstar(a,00)", "star bound must be a positive integer (offset 10)"),
+    ("parstar(,2)", "unexpected token ',' (offset 8)"),
+    ("seqstar(", "unexpected token 'end of input' (offset 8)"),
+    ("seqstar", "expected '(', found 'end of input' (offset 7)"),
+    ("seqstar(a,)", "expected 'INT', found ')' (offset 10)"),
+    ("seqstar(a;,3)", "unexpected token ',' (offset 10)"),
+    ("parstar(a;b,2", "expected ')', found 'end of input' (offset 13)"),
+    ("seqstar(a,10)x", "unexpected token 'x' (offset 13)"),
+    ("01", "unexpected integer '01' (offset 0)"),
+    ("2", "unexpected integer '2' (offset 0)"),
+    ("(a)(b)", "unexpected token '(' (offset 3)"),
+    ("a+", "unexpected token 'end of input' (offset 2)"),
+    ("+a", "unexpected token '+' (offset 0)"),
+    ("((", "unexpected token 'end of input' (offset 2)"),
+    ("", "unexpected token 'end of input' (offset 0)"),
+    (")", "unexpected token ')' (offset 0)"),
+    ("a)", "unexpected token ')' (offset 1)"),
+    ("(a+)", "unexpected token ')' (offset 3)"),
+    ("x;(y", "expected ')', found 'end of input' (offset 4)"),
+    ("1 0", "unexpected token '0' (offset 2)"),
+    ("seqstar(a,01)", "seqstar(a,1)"),
+    ("seqstar((a),1)", "seqstar(a,1)"),
+    ("((a))", "a"),
+    ("(a;b)|(a;b)", "a;b|a;b"),
+    ("a+(b+c)|d", "a+(b+c)|d"),
+    ("parstar(seqstar(a,2)|b,3);0", "parstar(seqstar(a,2)|b,3);0"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_TABLE)
+def test_parse_error_text_or_pretty_form(text, expected):
+    if "(offset " in expected:
+        with pytest.raises(ParseError) as err:
+            parse_text(text)
+        assert str(err.value) == expected
+    else:
+        assert pretty(parse_text(text)) == expected
+
+
 def test_parse_rejects_other_integers():
     with pytest.raises(ParseError, match="unexpected integer"):
         parse_text("2")
@@ -149,6 +197,13 @@ def test_evaluate_is_homomorphic():
     assert equals(
         evaluate(parse_text("a")), program_of((singleton("a"),))
     )
+
+
+def test_evaluate_rejects_what_is_not_a_node():
+    for bad, name in (("a", "'a'"), (Seq(Sym("a"), 3), "3")):
+        with pytest.raises(TypeError) as err:
+            evaluate(bad)
+        assert str(err.value) == f"not an expression node: {name}"
 
 
 def test_evaluate_validates_nothing(monkeypatch):
@@ -236,3 +291,14 @@ def test_pretty_round_trips_random_trees():
         assert parse_text(text) == tree, text
         assert pretty(parse_text(text)) == text
     assert kinds == {Zero, One, Sym, Seq, Par, Union, SeqStar, ParStar}
+
+
+def test_deep_terms_round_trip_without_recursion():
+    # Deep trees are compared by their text: dataclass == recurses.
+    for text in (
+        "seqstar(" * 5000 + "a" + ",1)" * 5000,
+        "a;(" * 5000 + "a;a" + ")" * 5000,
+        "|".join(["a"] * 5000),
+    ):
+        assert pretty(parse_text(text)) == text
+    assert pretty(parse_text("(" * 5000 + "a" + ")" * 5000)) == "a"
