@@ -121,7 +121,7 @@ def _print_verdict(holds: bool, start: float, witness: Optional[str] = None) -> 
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print("holds" if holds else "fails")
     if witness is not None:
-        print(f"witness: {witness}")
+        print(witness)
     print(f"elapsed-ms: {elapsed_ms:.3f}")
     return 0 if holds else 1
 
@@ -141,8 +141,8 @@ def cmd_refines(args) -> int:
         return _print_verdict(False, start)
     if not witness.is_valid(right, left):
         raise RuntimeError("witness failed revalidation")
-    pairs = " ".join(f"{i}->{t}" for i, t in enumerate(witness.mapping))
-    return _print_verdict(True, start, pairs)
+    pairs = "".join(f" {i}->{t}" for i, t in enumerate(witness.mapping))
+    return _print_verdict(True, start, "witness:" + pairs)
 
 
 def cmd_equal(args) -> int:

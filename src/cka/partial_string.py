@@ -411,12 +411,13 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     most the target's, and per event an image with the same label whose
     strict down-set and up-set are at least as large (a monotone injection
     maps the strict down-set of an event into the strict down-set of its
-    image).  An image is consistent when it lies above the images of the
-    event's placed predecessors and below those of its placed successors;
-    images are tried lowest index first.  Absence is therefore definitive,
-    not heuristic.  A source without strict pairs needs no search: the
-    k-th event of each label maps onto the target's k-th event of that
-    label, the witness the search finds.
+    image).  An event's options are its unused candidates intersected with
+    the target's up-set of each placed predecessor's image and strict
+    down-set of each placed successor's image; they are tried lowest index
+    first.  Absence is therefore definitive, not heuristic.  A source
+    without strict pairs needs no search: the k-th event of each label maps
+    onto the target's k-th event of that label, the witness the search
+    finds.
     """
     n = src.n_events
     if tgt.n_events != n:
@@ -429,9 +430,10 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
         for t in reversed(range(n)):
             slots.setdefault(tgt.labels[t], []).append(t)
         return Morphism(tuple(slots[label].pop() for label in src.labels))
-    # Up masks are order rows, own bit included: it adds one to every
-    # up-set size on both sides, an event is never placed when it is
-    # tested, and an image is never in ``above``, so no test below changes.
+    # Up masks are order rows, own bit included.  It adds one to every
+    # up-set size on both sides.  An event is not placed while its options
+    # are built, so its own bit in ``s_up`` picks no successor, and a placed
+    # image's own bit in ``t_up`` is already in ``used``.
     s_down, s_up, t_down, t_up = s_shape.down, src.order, t_shape.down, tgt.order
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
@@ -449,18 +451,14 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     todo = sorted(range(n), key=lambda e: (cand[e].bit_count(), e))
     img = [0] * n
     placed = used = 0
-    untried: list[int] = []  # consistent images not yet tried, per depth
+    untried: list[int] = []  # options not yet tried, per depth
     while len(untried) < n:
         e = todo[len(untried)]
-        below = above = 0
-        for e2 in _bits(s_down[e] & placed):
-            below |= 1 << img[e2]
-        for e2 in _bits(s_up[e] & placed):
-            above |= 1 << img[e2]
-        options = 0
-        for t in _bits(cand[e] & ~used):
-            if not (below & ~t_down[t] or above & ~t_up[t]):
-                options |= 1 << t
+        options = cand[e] & ~used
+        for p in _bits(s_down[e] & placed):
+            options &= t_up[img[p]]
+        for s in _bits(s_up[e] & placed):
+            options &= t_down[img[s]]
         untried.append(options)
         # Backtrack: drop exhausted depths, undoing the placement below each.
         while not untried[-1]:
@@ -587,16 +585,28 @@ def from_text(text: str) -> PartialString:
     return from_strict_pairs(labels, pairs)
 
 
+# DOT keywords, matched without regard to case; none may name a graph bare.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_escape(text: str) -> str:
+    """``text`` with backslashes and double quotes escaped for a DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(x: PartialString, name: str = "pomset") -> str:
     """Cover relation as a DOT digraph, earlier events drawn above later ones.
 
     Backslashes and double quotes in labels are escaped, so any label the
-    text format accepts stays inside its quoted DOT string.
+    text format accepts stays inside its quoted DOT string.  ``name`` is
+    written bare when it is an ASCII identifier and not a DOT keyword, and
+    quoted and escaped the same way otherwise.
     """
+    if not (name.isascii() and name.isidentifier()) or name.lower() in _DOT_KEYWORDS:
+        name = f'"{_dot_escape(name)}"'
     lines = [f"digraph {name} {{"]
     for i, lab in enumerate(x.labels):
-        quoted = lab.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  e{i} [label="{i}:{quoted}"];')
+        lines.append(f'  e{i} [label="{i}:{_dot_escape(lab)}"];')
     for i, j in hasse(x):
         lines.append(f"  e{i} -> e{j};")
     lines.append("}")

@@ -48,6 +48,12 @@ def test_refines_pomset_witness_is_printed_and_valid(capsys):
         assert lines[1] == witness
 
 
+def test_refines_pomset_empty_witness_has_no_trailing_space(capsys):
+    code, out, _ = run_cli(capsys, "refines", "1", "1", "--pomset")
+    assert code == 0
+    assert out.splitlines()[:2] == ["holds", "witness:"]
+
+
 def test_refines_pomset_failure_has_no_witness(capsys):
     code, out, _ = run_cli(capsys, "refines", "a|b", "a;b", "--pomset")
     lines = out.splitlines()

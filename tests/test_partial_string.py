@@ -404,6 +404,42 @@ def test_refinement_of_long_strings():
     assert m is not None and m.is_valid(antichain, word)
 
 
+def _hard_family(n):
+    """200 random one-label pairs of ``n`` events: a denser target, a sparser source.
+
+    A fresh ``random.Random(4)`` per size draws each target's pairs
+    ``i < j`` at 0.12 and then the source's at 0.08, keeping the pair when
+    the source has at most as many strict pairs as the target.
+    """
+    rng = random.Random(4)
+    labels = ("a",) * n
+    pairs = []
+    while len(pairs) < 200:
+        drawn = []
+        for p in (0.12, 0.08):
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+            ]
+            drawn.append(from_strict_pairs(labels, edges))
+        tgt, src = drawn
+        if len(src.strict_pairs()) <= len(tgt.strict_pairs()):
+            pairs.append((src, tgt))
+    return pairs
+
+
+def test_find_morphism_answers_on_the_hard_family():
+    # Pinned by answers, not by time: the search must stay complete on
+    # sizes where both outcomes are common and backtracking is deep.
+    for n, found in ((14, 115), (16, 94)):
+        hits = 0
+        for src, tgt in _hard_family(n):
+            m = find_morphism(src, tgt)
+            if m is not None:
+                assert m.is_valid(src, tgt)
+                hits += 1
+        assert hits == found
+
+
 def test_refines_reflexive_on_examples():
     for x in (empty(), singleton("a"), n4(), p4()):
         assert refines(x, x)
@@ -628,6 +664,24 @@ def test_to_dot_escapes_quotes_and_backslashes():
     dot = to_dot(from_text('events: a"x b\\y'))
     assert '  e0 [label="0:a\\"x"];' in dot.splitlines()
     assert '  e1 [label="1:b\\\\y"];' in dot.splitlines()
+
+
+def test_to_dot_quotes_names_that_are_not_dot_ids():
+    cases = [
+        ("pomset", "digraph pomset {"),
+        ("g_1", "digraph g_1 {"),
+        ("my graph", 'digraph "my graph" {'),
+        ('x"y', 'digraph "x\\"y" {'),
+        ("a\\b", 'digraph "a\\\\b" {'),
+        ("graph", 'digraph "graph" {'),
+        ("Subgraph", 'digraph "Subgraph" {'),
+        ("1x", 'digraph "1x" {'),
+        ("", 'digraph "" {'),
+        ("é", 'digraph "é" {'),
+    ]
+    for name, head in cases:
+        assert to_dot(n4(), name).splitlines()[0] == head
+    assert to_dot(n4(), "my graph").splitlines()[1:] == to_dot(n4()).splitlines()[1:]
 
 
 def test_weakseq_extremes_equal_seq_and_par_exactly():
