@@ -349,9 +349,11 @@ class _Shape:
     precedes ``j``); readers take the up side from ``order``.  ``sig``
     packs the sorted per-event (label rank, |down|, |up|) ints in one int,
     computed on first read: only normalization of label groups of two or
-    more reads it.  :func:`_shape` builds one record per value, kept on the
-    value; the record refers to the value's ``labels`` and ``order``
-    tuples, never to the value.
+    more reads it.  ``text()`` is also built on first read: by
+    :func:`to_text`, and by normalization only for isomorphic copies and
+    equal label tuples.  :func:`_shape` builds one record per value, kept
+    on the value; the record refers to the value's ``labels`` and
+    ``order`` tuples, never to the value.
     """
 
     __slots__ = ("events", "order", "labels", "pairs", "down", "_sig", "_text")
@@ -387,9 +389,13 @@ class _Shape:
     def text(self) -> str:
         """The text format (cover pairs only), serialized on first call."""
         if self._text is None:
-            lines = ["events:" + "".join(" " + lab for lab in self.events)]
-            lines.extend(f"order: {i} < {j}" for i, j in _covers(self.order))
-            self._text = "\n".join(lines)
+            parts = ["events:", *[" " + lab for lab in self.events]]
+            for i, row in enumerate(_cover_rows(self.order)):
+                while row:
+                    low = row & -row
+                    parts.append(f"\norder: {i} < {low.bit_length() - 1}")
+                    row ^= low
+            self._text = "".join(parts)
         return self._text
 
 
@@ -514,16 +520,17 @@ def exchange_holds(
 
 def hasse(x: PartialString) -> list[tuple[int, int]]:
     """Cover pairs: the transitive reduction of the strict order."""
-    return _covers(x.order)
+    return [(i, j) for i, row in enumerate(_cover_rows(x.order)) for j in _bits(row)]
 
 
-def _covers(order: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover pairs of reflexive order rows.
+def _cover_rows(order: Sequence[int]) -> list[int]:
+    """Cover masks of reflexive order rows, one per event.
 
-    Each row's strict successors are walked lowest index first, skipping
-    those already above a visited one: their up-sets lie inside its
-    up-set, so ``implied`` ends as the union over every successor's strict
-    up-set either way.
+    Bit ``j`` of mask ``i`` is set when ``j`` covers ``i``.  Each row's
+    strict successors are walked lowest index first, skipping those
+    already above a visited one: their up-sets lie inside its up-set, so
+    ``implied`` ends as the union over every successor's strict up-set
+    either way.
     """
     covers = []
     for i, row in enumerate(order):
@@ -533,8 +540,7 @@ def _covers(order: Sequence[int]) -> list[tuple[int, int]]:
             low = walk & -walk
             implied |= order[low.bit_length() - 1] ^ low
             walk &= ~(low | implied)
-        for j in _bits(row & ~implied):
-            covers.append((i, j))
+        covers.append(row & ~implied)
     return covers
 
 

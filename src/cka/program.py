@@ -10,6 +10,7 @@ some generator.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -31,8 +32,9 @@ class Program:
     """Finite generator set standing for its downward closure.
 
     The operators in this module keep generators normalized: pairwise
-    non-isomorphic, with no generator refining another, sorted for
-    deterministic output.  Compare programs with :func:`subset` or
+    non-isomorphic, with no generator refining another, sorted by event
+    count, label tuple and serialized text for deterministic output (see
+    :func:`normalize_program`).  Compare programs with :func:`subset` or
     :func:`equals`; the generator tuple is representation, not meaning.
     """
 
@@ -57,12 +59,23 @@ def normalize_program(p: Program) -> Program:
     either fewer strict pairs or the same signature (see ``_Shape``).  The
     distinct generators are grouped by sorted labels; a group of one is
     kept as it is.  In a larger group one greedy pass visits them by pair
-    count, then signature, then serialized order, and keeps one unless it
-    refines a kept generator of those two kinds; the earliest of
-    isomorphic copies survives.  Survivors come out in serialized order,
-    so the output is deterministic and equal to the input under
-    :func:`equals`.  A program of fewer than two generators is returned
-    as it is.
+    count, then signature, and drops one that refines a kept generator
+    with fewer pairs.  One that refines a kept twin of the same signature
+    is isomorphic to it, and of the two the copy with the smaller
+    serialized text is kept, so the serialized-earliest copy survives
+    whatever the input order.
+
+    Survivors come out ordered by event count, then label tuple, then
+    serialized text, so the output is deterministic and equal to the
+    input under :func:`equals`.  Equal label tuples have equal sorted
+    labels, so text breaks ties only within one group.  When every label
+    character is above U+0020, as for every label the term grammar
+    accepts, this is the order of (event count, serialized text): at the
+    first differing label either a character decides both, or the shorter
+    label is a prefix of the longer, and the text follows it with a
+    space, a newline or nothing, all below any label character.  Text is
+    read only for isomorphic copies and for survivors with equal label
+    tuples.  A program of fewer than two generators is returned as it is.
     """
     if len(p.generators) < 2:
         return p
@@ -82,22 +95,33 @@ def normalize_program(p: Program) -> Program:
                 layer, pairs = len(kept), s.pairs  # kept[start:layer]: fewer pairs
             if s.sig != sig:
                 twin, sig = len(kept), s.sig  # kept[twin:]: same signature
-            for t in kept[start:layer] + kept[twin:]:
-                if refines(g, t):
+            if any(refines(g, t) for t in kept[start:layer]):
+                continue
+            for i in range(twin, len(kept)):
+                if refines(g, kept[i]):
+                    if s.text() < _shape(kept[i]).text():
+                        kept[i] = g
                     break
             else:
                 kept.append(g)
-    kept.sort(key=_serialized_order)
+        survivors = kept[start:]
+        if len({g.labels for g in survivors}) < len(survivors):
+            ties = Counter(g.labels for g in survivors)
+            kept[start:] = sorted(
+                survivors,
+                key=lambda g: (g.labels, ties[g.labels] > 1 and _shape(g).text()),
+            )
+    kept.sort(key=_output_order)
     return Program(tuple(kept))
 
 
 def _absorption_order(g: PartialString) -> tuple:
     s = _shape(g)
-    return s.pairs, s.sig, s.text()
+    return s.pairs, s.sig
 
 
-def _serialized_order(g: PartialString) -> tuple:
-    return len(g.labels), _shape(g).text()
+def _output_order(g: PartialString) -> tuple:
+    return len(g.labels), g.labels
 
 
 def program_of(xs: Iterable[PartialString]) -> Program:

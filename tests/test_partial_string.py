@@ -576,6 +576,21 @@ def test_shape_record_matches_definitions_from_order():
         assert to_text(x) == text
 
 
+def test_text_hasse_and_dot_read_one_cover_walk():
+    # A cover is a pair i < j with no k strictly between them.
+    rng = random.Random(31)
+    corpus = enumerate_all(4, "ab")
+    for _ in range(60):
+        long = _random_order(rng, rng.choices("abc", k=rng.randint(9, 14)), 0.3)
+        corpus += [long, _permuted(rng, long)]
+    for x in corpus:
+        covers, text = _text_by_brute_force(x)
+        assert _shape(x).text() == text
+        assert hasse(x) == covers
+        edges = re.findall(r"^  e(\d+) -> e(\d+);$", to_dot(x), re.MULTILINE)
+        assert [(int(i), int(j)) for i, j in edges] == covers
+
+
 def test_covers_and_strict_pairs_build_no_record():
     x = from_strict_pairs(("covers0", "covers1", "covers2"), [(0, 1), (1, 2)])
     assert x._record is None

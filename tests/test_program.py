@@ -10,12 +10,15 @@ import cka.partial_string
 import cka.program
 from cka import (
     DependenceRelation,
+    PartialString,
     Program,
     chain,
     contains,
     empty,
     equals,
     evaluate,
+    from_text,
+    isomorphic,
     normalize_program,
     one,
     par,
@@ -25,10 +28,13 @@ from cka import (
     program_of,
     program_to_text,
     punion,
+    refines,
     seq,
     singleton,
     star,
     subset,
+    to_text,
+    transitive_closure,
     weakseq,
     zero,
 )
@@ -120,9 +126,9 @@ def _count_validate(monkeypatch):
     return calls
 
 
-def _normal_form_by_brute_force(gens):
+def _normal_form_by_brute_force(gens, oracle=brute_force_refines):
     distinct = set(gens)
-    key = {g: (g.n_events, _shape(g).text()) for g in distinct}
+    key = {g: (g.n_events, to_text(g)) for g in distinct}
     return tuple(
         sorted(
             (
@@ -130,8 +136,8 @@ def _normal_form_by_brute_force(gens):
                 for g in distinct
                 if not any(
                     h != g
-                    and brute_force_refines(g, h)
-                    and (key[h] < key[g] or not brute_force_refines(h, g))
+                    and oracle(g, h)
+                    and (key[h] < key[g] or not oracle(h, g))
                     for h in distinct
                 )
             ),
@@ -157,11 +163,120 @@ def test_normalize_generators_match_brute_force_oracle():
     for _ in range(10):
         cases.append(rng.sample(words, rng.randint(2, 10)))
         cases.append(twins + [_strengthened(rng, rng.choice(twins))])
+    # Labels "a" and "ab": one label is a prefix of another.
+    prefix = GenConfig(max_events=4, alphabet=("a", "ab", "b"), edge_probability=0.4, seed=21)
+    for _ in range(150):
+        gens = [_sample_string(rng, prefix) for _ in range(rng.randint(2, 6))]
+        cases.append(gens + [_strengthened(rng, g) for g in gens if rng.random() < 0.5])
+    for term in ("seqstar(a+b,5)", "parstar(a+b;c,4)", "parstar(a|b+a;b,3)"):
+        gens = evaluate(parse_text(term)).generators
+        assert gens == _normal_form_by_brute_force(gens)
+        cases.append(list(gens))
     for gens in cases:
         gens += [_permuted(rng, g) for g in gens if rng.random() < 0.5]
         rng.shuffle(gens)
         expected = _normal_form_by_brute_force(gens)
         assert normalize_program(Program(tuple(gens))).generators == expected
+
+
+def _sparse_order(rng, labels, edge_probability):
+    """Labels in index order with random forward pairs, closed."""
+    rows = [1 << i for i in range(len(labels))]
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if rng.random() < edge_probability:
+                rows[i] |= 1 << j
+    return PartialString(tuple(labels), tuple(transitive_closure(rows)))
+
+
+def test_normalize_orders_equal_label_tuples_by_text_past_two_digit_indices():
+    # 11-12 events, so cover indices have two digits and "order: 1 < 10"
+    # sorts before "order: 1 < 2".  Strings of one label tuple tie on
+    # labels; their text decides.
+    rng = random.Random(53)
+    ties = 0
+    for _ in range(40):
+        labels = rng.choices("ab", k=rng.choice((11, 12)))
+        gens = [_sparse_order(rng, labels, 0.15) for _ in range(4)]
+        gens += [_permuted(rng, g) for g in gens]
+        rng.shuffle(gens)
+        out = normalize_program(Program(tuple(gens))).generators
+        assert out == _normal_form_by_brute_force(gens, oracle=refines)
+        ties += sum(g.labels == h.labels for g, h in zip(out, out[1:]))
+    assert ties > 20
+
+
+def test_normalize_orders_labels_at_or_below_space_by_label_tuple():
+    # The order is (event count, label tuple, text).  A label character at
+    # or below U+0020 sorts below the space that ends a label in the text,
+    # so the text order would put "a\x01 b" first.
+    low, plain = chain(("a\x01", "b")), chain(("a", "b"))
+    assert to_text(low) < to_text(plain)
+    assert normalize_program(Program((low, plain))).generators == (plain, low)
+    assert normalize_program(Program((plain, low))).generators == (plain, low)
+
+
+def _text_reads(monkeypatch):
+    """The shape records whose text is read, one entry per read."""
+    reads = []
+    text = _Shape.text
+    monkeypatch.setattr(_Shape, "text", lambda s: reads.append(s) or text(s))
+    return reads
+
+
+def _distinct_label_tuples(rng, cfg, draws):
+    """Sampled strings, pairwise non-isomorphic and of distinct label tuples."""
+    gens = []
+    for _ in range(draws):
+        x = _sample_string(rng, cfg)
+        if not any(g.labels == x.labels or isomorphic(g, x) for g in gens):
+            gens.append(x)
+    return gens
+
+
+def test_normalize_serializes_nothing_for_distinct_label_tuples(monkeypatch):
+    rng = random.Random(61)
+    cfg = GenConfig(max_events=5, alphabet=("a", "b"), edge_probability=0.4, seed=61)
+    gens = _distinct_label_tuples(rng, cfg, 300)
+    gens += [chain(w) for w in set(itertools.permutations("aabbc"))]
+    rng.shuffle(gens)
+    expected = _normal_form_by_brute_force(gens)
+    reads = _text_reads(monkeypatch)
+    out = normalize_program(Program(tuple(gens)))
+    assert reads == []
+    assert out.generators == expected
+    assert len(out.generators) < len(gens)
+
+
+def _n_shape_copies(rng):
+    x = from_text("events: a b a b\norder: 0 < 1\norder: 2 < 3\norder: 0 < 3")
+    copies = {x}
+    while len(copies) < 4:
+        copies.add(_permuted(rng, x))
+    return x, sorted(copies, key=lambda g: g.order)
+
+
+def test_normalize_serializes_only_isomorphic_copies(monkeypatch):
+    rng = random.Random(67)
+    _, copies = _n_shape_copies(rng)
+    cfg = GenConfig(max_events=5, alphabet=("c", "d"), edge_probability=0.4, seed=67)
+    gens = copies + _distinct_label_tuples(rng, cfg, 200)
+    rng.shuffle(gens)
+    reads = _text_reads(monkeypatch)
+    out = normalize_program(Program(tuple(gens)))
+    assert {id(s) for s in reads} == {id(_shape(c)) for c in copies}
+    assert sum(g in copies for g in out.generators) == 1
+
+
+def test_normalize_keeps_the_serialized_earliest_copy_in_any_input_order():
+    rng = random.Random(71)
+    x, copies = _n_shape_copies(rng)
+    earliest = min(copies, key=to_text)
+    absorbed = chain("abab")
+    assert refines(absorbed, x)
+    for gens in itertools.permutations(copies + [absorbed, singleton("c")]):
+        out = normalize_program(Program(gens)).generators
+        assert out == (singleton("c"), earliest)
 
 
 def test_normalize_compares_each_pair_of_look_alikes_once(monkeypatch):
