@@ -5,6 +5,11 @@ means the query holds, 1 means it fails, 2 means the input was rejected
 (lexical, syntax, file or validation error), 4 means an internal error
 (a bug); 3 is kept for budgets.
 
+``--weak-dep``, offered by every subcommand except ``laws``, chooses the
+composition that ``;`` means.  ``main`` reads it once, before the
+subcommand runs, so a malformed spec exits 2 even where no term reads
+it, and the stars of one body in one invocation share one Kleene chain.
+
 Two pre-built four-event partial strings are available as complete
 operands: ``P4``, two independent two-chains with labels a,b each, and
 ``N4``, the same events with one extra cross ordering.  The pair
@@ -19,7 +24,6 @@ import functools
 import itertools
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .expr import evaluate, parse, tokenize
@@ -58,19 +62,12 @@ def example_strings() -> dict[str, PartialString]:
     }
 
 
-@dataclass(frozen=True)
-class _WeakSeq:
-    """Weak sequencing under one relation, hashed by value so that every
-    star of one body under one relation shares a Kleene chain."""
-
-    relation: DependenceRelation
-
-    def __call__(self, x: PartialString, y: PartialString) -> PartialString:
-        return weakseq(x, y, self.relation)
-
-
 def _seq_compose(weak_dep: Optional[str]):
-    """Composition used for ';': strong by default, weak under --weak-dep."""
+    """Composition used for ';': strong by default, weak under --weak-dep.
+
+    A relation spec gives one new ``weakseq`` partial per call, so stars
+    share a Kleene chain within one invocation but not across calls.
+    """
     if weak_dep is None:
         return seq
     spec = weak_dep.strip()
@@ -86,7 +83,7 @@ def _seq_compose(weak_dep: Optional[str]):
                 f"bad dependence item {item!r}; use label:label, 'full' or 'empty'"
             )
         pairs.append((a.strip(), b.strip()))
-    return _WeakSeq(DependenceRelation.of(pairs))
+    return functools.partial(weakseq, dependence=DependenceRelation.of(pairs))
 
 
 def _eval_operand(text: str, seq_compose) -> Program:
@@ -126,8 +123,7 @@ def _print_verdict(holds: bool, start: float, witness: Optional[str] = None) -> 
     return 0 if holds else 1
 
 
-def cmd_refines(args) -> int:
-    compose = _seq_compose(args.weak_dep)
+def cmd_refines(args, compose) -> int:
     start = time.perf_counter()
     if not args.pomset:
         holds = subset(
@@ -145,8 +141,7 @@ def cmd_refines(args) -> int:
     return _print_verdict(True, start, "witness:" + pairs)
 
 
-def cmd_equal(args) -> int:
-    compose = _seq_compose(args.weak_dep)
+def cmd_equal(args, compose) -> int:
     start = time.perf_counter()
     holds = equals(
         _eval_operand(args.left, compose), _eval_operand(args.right, compose)
@@ -154,18 +149,16 @@ def cmd_equal(args) -> int:
     return _print_verdict(holds, start)
 
 
-def cmd_member(args) -> int:
-    compose = _seq_compose(args.weak_dep)
+def cmd_member(args, compose) -> int:
     element = _one_string(args.element, args.file, compose, "element expression")
     holds = contains(_eval_operand(args.program, compose), element)
     print("holds" if holds else "fails")
     return 0 if holds else 1
 
 
-def cmd_lang(args) -> int:
+def cmd_lang(args, compose) -> int:
     if args.max_display is not None and args.max_display < 0:
         raise ValueError("--max-display must be nonnegative")
-    compose = _seq_compose(args.weak_dep)
     automaton = WordAutomaton(_eval_operand(args.expr, compose).generators)
     total = automaton.count()
     shown = 0
@@ -177,15 +170,13 @@ def cmd_lang(args) -> int:
     return 0
 
 
-def cmd_dot(args) -> int:
-    compose = _seq_compose(args.weak_dep)
+def cmd_dot(args, compose) -> int:
     target = _one_string(args.expr, args.file, compose, "expression")
     print(to_dot(target))
     return 0
 
 
-def cmd_star(args) -> int:
-    compose = _seq_compose(args.weak_dep)
+def cmd_star(args, compose) -> int:
     op = par if args.op == "par" else seq
     result = star(_eval_operand(args.expr, compose), op, args.bound)
     text = program_to_text(result)
@@ -194,7 +185,7 @@ def cmd_star(args) -> int:
     return 0
 
 
-def cmd_laws(args) -> int:
+def cmd_laws(args, _compose) -> int:
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
     cfg = GenConfig(
@@ -206,15 +197,6 @@ def cmd_laws(args) -> int:
     report = law_suite(cfg, cases=args.cases)
     print(report.to_text())
     return 0 if report.ok else 1
-
-
-def _add_weak_dep(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--weak-dep",
-        metavar="SPEC",
-        help="interpret ';' as weak sequencing under a dependence relation: "
-        "'full', 'empty', or comma-separated label:label pairs",
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,32 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare single partial strings and print the witness mapping",
     )
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_refines)
 
     p = sub.add_parser("equal", help="semantic program equality")
     p.add_argument("left")
     p.add_argument("right")
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_equal)
 
     p = sub.add_parser("member", help="is a partial string in a program's closure")
     p.add_argument("element", nargs="?", help="single-generator expression")
     p.add_argument("program")
     p.add_argument("--file", help="read the element from a text-format file")
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("lang", help="list the words of a program's language")
     p.add_argument("expr")
     p.add_argument("--max-display", type=int, metavar="N", help="show at most N words")
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_lang)
 
     p = sub.add_parser("dot", help="emit the cover relation as a DOT digraph")
     p.add_argument("expr", nargs="?", help="single-generator expression")
     p.add_argument("--file", help="read a partial string from a text-format file")
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_dot)
 
     p = sub.add_parser("star", help="bounded Kleene iterate of a program")
@@ -272,8 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterate with strong ';' or with '|'; --weak-dep does not change "
         "the op, so write a weak star as the term seqstar(E,n)",
     )
-    _add_weak_dep(p)
     p.set_defaults(fn=cmd_star)
+
+    # Every subcommand so far reads terms; the option goes last in each --help.
+    for p in sub.choices.values():
+        p.add_argument(
+            "--weak-dep",
+            metavar="SPEC",
+            help="interpret ';' as weak sequencing under a dependence relation: "
+            "'full', 'empty', or comma-separated label:label pairs",
+        )
 
     p = sub.add_parser("laws", help="run the algebraic law suite")
     p.add_argument("--cases", type=int, default=100)
@@ -287,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _seq_compose(getattr(args, "weak_dep", None)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

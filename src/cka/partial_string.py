@@ -239,9 +239,8 @@ def from_strict_pairs(
     rows = [1 << i for i in range(n)]
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
-            raise InvalidPartialString(
-                f"order pair ({i}, {j}) outside events 0..{n - 1}"
-            )
+            span = f" 0..{n - 1}" if n else ": the string has no events"
+            raise InvalidPartialString(f"order pair ({i}, {j}) outside events{span}")
         if i == j:
             raise InvalidPartialString(
                 f"order pair ({i}, {j}) is not strict: an event cannot precede itself"

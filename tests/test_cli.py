@@ -1,14 +1,34 @@
+import random
 import subprocess
 import sys
 
 import pytest
 
-from cka import LAWS, Morphism
+from cka import (
+    LAWS,
+    DependenceRelation,
+    Morphism,
+    SeqStar,
+    brute_force_refines,
+    contains,
+    evaluate,
+    lang_subset,
+    language,
+    par,
+    pretty,
+    program_from_text,
+    program_to_text,
+    seq,
+    star,
+    to_dot,
+    weakseq,
+)
 from cka.cli import example_strings, main
 from cka.program import _kleene_chain
 from cka.testkit import Law
 import cka.cli
 import cka.testkit
+from test_expr import _random_expr
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +197,14 @@ def test_dot_from_file(tmp_path, capsys):
     assert "e0 -> e3;" in out
 
 
+def test_dot_file_with_order_but_no_events_is_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("events:\norder: 0 < 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "dot", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: order pair (0, 1) outside events: the string has no events\n"
+
+
 def test_dot_file_failure_is_input_error(tmp_path, capsys):
     path = tmp_path / "cycle.txt"
     path.write_text("events: a b\norder: 0 < 1\norder: 1 < 0\n", encoding="utf-8")
@@ -273,12 +301,20 @@ def test_weak_dep_pairs(capsys):
 
 
 def test_weak_dep_stars_share_one_kleene_chain(capsys):
-    argv = ("star", "seqstar(a+b,4)", "2", "--weak-dep", "a:b")
+    # main reads the spec once, so both stars of a+b get one composition
+    # object and so one chain: the bound-3 star reads the bound-4 star's.
+    argv = ("equal", "seqstar(a+b,4)", "1+(a+b);seqstar(a+b,3)", "--weak-dep", "a:b")
     _kleene_chain.cache_clear()
-    first = run_cli(capsys, *argv)
-    misses = _kleene_chain.cache_info().misses
-    assert run_cli(capsys, *argv) == first
-    assert _kleene_chain.cache_info().misses == misses
+    assert run_cli(capsys, *argv)[0] == 0
+    info = _kleene_chain.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_laws_does_not_offer_weak_dep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--weak-dep", "a:b"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weak-dep a:b" in capsys.readouterr().err
 
 
 def test_weak_dep_bad_spec(tmp_path, capsys):
@@ -354,3 +390,67 @@ def test_long_operator_chain_evaluates(capsys):
 def test_deep_parentheses_evaluate(capsys):
     code, out, err = run_cli(capsys, "lang", "(" * 3000 + "a" + ")" * 3000)
     assert (code, out, err) == (0, "a\n", "")
+
+
+def _weak(a, b):
+    dependence = DependenceRelation.of([(a, b)])
+    return lambda x, y: weakseq(x, y, dependence)
+
+
+# Each --weak-dep spelling, with the composition its ';' should mean.
+_WEAK_DEP_SPELLINGS = [
+    ((), seq),
+    (("--weak-dep", "full"), seq),
+    (("--weak-dep", "empty"), par),
+    (("--weak-dep", "none"), par),
+    (("--weak-dep", "a:b"), _weak("a", "b")),
+    (("--weak-dep", "b:a"), _weak("b", "a")),
+]
+
+
+def test_cli_agrees_with_the_library_on_random_terms(capsys):
+    def run(*argv):
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert code in (0, 1, 2), (argv, flag, err)
+        return code, out
+
+    verdicts = set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        e, f = (_random_expr(rng, 4, ("a", "b", "c"), 3) for _ in range(2))
+        bound = rng.randint(1, 3)
+        te, tf = pretty(e), pretty(f)
+        for flag, compose in _WEAK_DEP_SPELLINGS:
+            p, q = evaluate(e, compose), evaluate(f, compose)
+            if any(g.n_events > 6 for g in p.generators + q.generators):
+                continue
+            holds = all(
+                any(brute_force_refines(g, h) for h in q.generators)
+                for g in p.generators
+            )
+            verdicts.add(holds)
+            assert run("refines", te, tf)[0] == (0 if holds else 1)
+            assert not holds or lang_subset(p, q)
+            back = run("refines", tf, te)[0] == 0
+            assert run("equal", te, tf)[0] == (0 if holds and back else 1)
+
+            if len(p.generators) == 1:
+                (g,) = p.generators
+                assert run("member", te, tf)[0] == (0 if contains(q, g) else 1)
+                assert run("dot", te) == (0, to_dot(g) + "\n")
+            else:
+                assert run("member", te, tf)[0] == 2
+                assert run("dot", te) == (2, "")
+            code, out = run("lang", te)
+            assert code == 0
+            assert sorted(out.splitlines()) == sorted(" ".join(w) for w in language(p))
+
+            # Under --weak-dep, cka star still iterates with strong ';'.
+            code, out = run("star", te, str(bound))
+            assert code == 0
+            result = program_from_text(out)
+            assert result == star(p, seq, bound)
+            assert program_to_text(result) + "\n" == out
+            if not flag:
+                assert out.rstrip("\n") == program_to_text(evaluate(SeqStar(e, bound)))
+    assert verdicts == {True, False}

@@ -271,14 +271,15 @@ def test_tokenize_lexical_grammar():
         assert err.value.offset == 0
 
 
-def _random_expr(rng, depth):
-    leaves = (Zero(), One(), Sym("a"), Sym("b"), Sym("c_1"))
+def _random_expr(rng, depth, labels=("a", "b", "c_1"), max_bound=12):
+    leaves = (Zero(), One(), *map(Sym, labels))
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(leaves)
     kind = rng.choice((Seq, Par, Union, SeqStar, ParStar))
+    children = (_random_expr(rng, depth - 1, labels, max_bound) for _ in range(2))
     if kind in (SeqStar, ParStar):
-        return kind(_random_expr(rng, depth - 1), rng.randint(1, 12))
-    return kind(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return kind(next(children), rng.randint(1, max_bound))
+    return kind(*children)
 
 
 def test_pretty_round_trips_random_trees():

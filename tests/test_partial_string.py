@@ -185,6 +185,8 @@ def test_validate_reports_non_total_labels():
 def test_from_strict_pairs_rejects_out_of_range():
     with pytest.raises(InvalidPartialString, match="outside events"):
         from_strict_pairs(("a",), [(0, 1)])
+    with pytest.raises(InvalidPartialString, match="the string has no events"):
+        from_text("events:\norder: 0 < 1")
 
 
 def test_from_strict_pairs_rejects_cycle():
