@@ -160,13 +160,12 @@ def cmd_lang(args, compose) -> int:
     if args.max_display is not None and args.max_display < 0:
         raise ValueError("--max-display must be nonnegative")
     automaton = WordAutomaton(_eval_operand(args.expr, compose).generators)
-    total = automaton.count()
-    shown = 0
     for word in itertools.islice(automaton.words(), args.max_display):
         print(" ".join(word))
-        shown += 1
-    if shown < total:
-        print(f"# {total - shown} more words omitted")
+    if args.max_display is not None:
+        omitted = automaton.count() - args.max_display
+        if omitted > 0:
+            print(f"# {omitted} more words omitted")
     return 0
 
 
@@ -186,8 +185,6 @@ def cmd_star(args, compose) -> int:
 
 
 def cmd_laws(args, _compose) -> int:
-    if args.cases < 1:
-        raise ValueError("--cases must be at least 1")
     cfg = GenConfig(
         max_events=args.max_events,
         alphabet=("a", "b"),

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .language import lang_subset, language, linearize
+from .language import lang_subset, linearize
 from .partial_string import (
     DependenceRelation,
     Label,
@@ -651,7 +651,7 @@ def law_suite(
     law name, so reports are reproducible and insensitive to law order.
     """
     if cases < 1:
-        raise ValueError("cases must be >= 1")
+        raise ValueError("cases must be at least 1")
     chosen = LAWS if laws is None else list(laws)
     results = []
     for law in chosen:

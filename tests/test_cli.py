@@ -24,6 +24,7 @@ from cka import (
     weakseq,
 )
 from cka.cli import example_strings, main
+from cka.language import WordAutomaton
 from cka.program import _kleene_chain
 from cka.testkit import Law
 import cka.cli
@@ -145,6 +146,25 @@ def test_lang_max_display(capsys):
     assert lines[2] == "# 4 more words omitted"
 
 
+def test_lang_rejects_negative_max_display(capsys):
+    code, out, err = run_cli(capsys, "lang", "a", "--max-display", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-display must be nonnegative\n"
+
+
+def test_lang_counts_words_only_under_max_display(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("count called")
+
+    monkeypatch.setattr(WordAutomaton, "count", refuse)
+    assert run_cli(capsys, "lang", "a|b") == (0, "a b\nb a\n", "")
+    calls = []
+    monkeypatch.setattr(WordAutomaton, "count", lambda self: calls.append(self) or 2)
+    code, out, err = run_cli(capsys, "lang", "a|b", "--max-display", "1")
+    assert (code, out, err) == (0, "a b\n# 1 more words omitted\n", "")
+    assert len(calls) == 1
+
+
 def test_dot_of_expression(capsys):
     code, out, _ = run_cli(capsys, "dot", "a;b")
     assert code == 0
@@ -231,6 +251,18 @@ def test_file_with_self_loop_is_input_error(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *command, "--file", str(path))
     assert (code, out) == (2, "")
     assert "(0, 0) is not strict" in err
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [(["dot", "a"], "an expression"), (["member", "a", "b"], "an element expression")],
+)
+def test_expression_and_file_together_is_input_error(tmp_path, capsys, command, what):
+    path = tmp_path / "a.txt"
+    path.write_text("events: a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: give either {what} or --file, not both\n"
 
 
 def test_star_command_output(capsys):

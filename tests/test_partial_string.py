@@ -153,6 +153,21 @@ def test_threads_building_equal_values_get_one_object_per_value():
     assert len({id(obj) for obj in built[0]}) == len(values)
 
 
+def test_a_dead_table_entry_is_replaced_by_the_new_value():
+    table = cka.partial_string._interned
+    key = (("dead-entry",), (1,))
+    x = PartialString(*key)
+    dead = cka.partial_string._Ref(x)
+    del x
+    assert dead() is None and key not in table
+    table[key] = dead
+    y = PartialString(*key)
+    assert table[key]() is y
+    assert PartialString(*key) is y
+    del y
+    assert key not in table
+
+
 def test_validate_accepts_chain():
     validate(seq(singleton("a"), singleton("b")))
 
@@ -180,6 +195,11 @@ def test_validate_reports_non_total_labels():
     bad = PartialString(("a", "b"), (0b1,))
     with pytest.raises(InvalidPartialString, match="labels are not total"):
         validate(bad)
+
+
+def test_validate_reports_order_rows_beyond_the_events():
+    with pytest.raises(InvalidPartialString, match=r"order row 0 mentions events outside 0\.\.0"):
+        validate(PartialString(("a",), (0b11,)))
 
 
 def test_from_strict_pairs_rejects_out_of_range():
@@ -652,6 +672,16 @@ def test_from_text_rejects_self_loops():
         from_text("events: a\norder: 0 < 0")
     with pytest.raises(InvalidPartialString, match=r"\(1, 1\) is not strict"):
         from_strict_pairs(("a", "b"), [(0, 1), (1, 1)])
+
+
+def test_from_text_requires_an_events_line():
+    for text in ("", " \n\t\n"):
+        with pytest.raises(TextFormatError, match="missing 'events:' line"):
+            from_text(text)
+
+
+def test_from_text_skips_blank_lines():
+    assert from_text("events: a b c\norder: 0 < 1\n\n  \norder: 1 < 2\n") is chain("abc")
 
 
 def test_from_text_rejects_garbage():
