@@ -160,7 +160,9 @@ def cmd_lang(args, compose) -> int:
     if args.max_display is not None and args.max_display < 0:
         raise ValueError("--max-display must be nonnegative")
     automaton = WordAutomaton(_eval_operand(args.expr, compose).generators)
-    for word in itertools.islice(automaton.words(), args.max_display):
+    # islice refuses stops above sys.maxsize; no language has that many words.
+    shown = None if args.max_display is None else min(args.max_display, sys.maxsize)
+    for word in itertools.islice(automaton.words(), shown):
         print(" ".join(word))
     if args.max_display is not None:
         omitted = automaton.count() - args.max_display

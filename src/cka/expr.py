@@ -13,8 +13,9 @@ tokenizer, parser and printer all read them.
 
 Parsing, evaluating and printing walk a term on explicit stacks, so how
 deeply a term nests is limited by memory, not by Python's recursion
-limit.  The dataclass ``==``, ``hash`` and ``repr`` of the nodes still
-recurse, so compare deep trees by their ``pretty`` text.
+limit.  The nodes are immutable values (``partial_string._Frozen``)
+whose ``==``, ``hash`` and ``repr`` still recurse, so compare deep trees
+by their ``pretty`` text.
 
 Errors carry 0-based byte offsets into the UTF-8 input.  A lone
 surrogate (how ``sys.argv`` carries a byte that is not UTF-8) counts as
@@ -24,9 +25,8 @@ the three bytes of its ``surrogatepass`` encoding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .partial_string import par, seq, singleton
+from .partial_string import _Frozen, _set_slot, par, seq, singleton
 from .program import ComposeOp, Program, one, pcompose, punion, star, zero
 
 
@@ -46,56 +46,82 @@ class ParseError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Frozen):
+    __slots__ = ("kind", "text", "offset")
     kind: str  # IDENT, INT, SEQSTAR, PARSTAR, one of ";|+(),", or EOF
     text: str
     offset: int
 
-
-@dataclass(frozen=True)
-class Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class One:
-    pass
+    def __init__(self, kind: str, text: str, offset: int) -> None:
+        _set_slot(self, "kind", kind)
+        _set_slot(self, "text", text)
+        _set_slot(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Sym:
+class Zero(_Frozen):
+    __slots__ = ()
+
+
+class One(_Frozen):
+    __slots__ = ()
+
+
+class Sym(_Frozen):
+    __slots__ = ("label",)
     label: str
 
+    def __init__(self, label: str) -> None:
+        _set_slot(self, "label", label)
 
-@dataclass(frozen=True)
-class Seq:
+
+class Seq(_Frozen):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
+    def __init__(self, left: "Expr", right: "Expr") -> None:
+        _set_slot(self, "left", left)
+        _set_slot(self, "right", right)
 
-@dataclass(frozen=True)
-class Par:
+
+class Par(_Frozen):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
+    def __init__(self, left: "Expr", right: "Expr") -> None:
+        _set_slot(self, "left", left)
+        _set_slot(self, "right", right)
 
-@dataclass(frozen=True)
-class Union:
+
+class Union(_Frozen):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
+    def __init__(self, left: "Expr", right: "Expr") -> None:
+        _set_slot(self, "left", left)
+        _set_slot(self, "right", right)
 
-@dataclass(frozen=True)
-class SeqStar:
+
+class SeqStar(_Frozen):
+    __slots__ = ("body", "bound")
     body: "Expr"
     bound: int
 
+    def __init__(self, body: "Expr", bound: int) -> None:
+        _set_slot(self, "body", body)
+        _set_slot(self, "bound", bound)
 
-@dataclass(frozen=True)
-class ParStar:
+
+class ParStar(_Frozen):
+    __slots__ = ("body", "bound")
     body: "Expr"
     bound: int
+
+    def __init__(self, body: "Expr", bound: int) -> None:
+        _set_slot(self, "body", body)
+        _set_slot(self, "bound", bound)
 
 
 Expr = Zero | One | Sym | Seq | Par | Union | SeqStar | ParStar

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref  # as weakref.WeakValueDictionary uses
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 Label = str
@@ -152,8 +151,50 @@ def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_interned, ref.key)
 
 
-@dataclass(frozen=True)
-class DependenceRelation:
+class _Frozen:
+    """Base of the immutable value types: slotted records compared by value.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__``'s parameters, and that ``__init__`` sets them with
+    ``_set_slot``; positional ``match`` patterns read them in that order.
+    Its values are equal when their types are the same and their fields
+    are equal, hash as the tuple of their fields, print as
+    ``Type(field=value, ...)``, and copy and pickle through
+    ``__reduce__``; setting or deleting an attribute raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DependenceRelation(_Frozen):
     """Ordered label pairs that force cross ordering under weak sequencing.
 
     Membership of ``(a, b)`` orders every ``a``-labelled event of the left
@@ -161,7 +202,11 @@ class DependenceRelation:
     Symmetry is optional, and only labels appear, never event ids.
     """
 
+    __slots__ = ("pairs",)
     pairs: frozenset[tuple[Label, Label]]
+
+    def __init__(self, pairs: frozenset[tuple[Label, Label]]) -> None:
+        _set_slot(self, "pairs", pairs)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[Label, Label]]) -> "DependenceRelation":
@@ -180,8 +225,7 @@ class DependenceRelation:
         return (a, b) in self.pairs
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Frozen):
     """A monotone label-preserving bijection between two event sets.
 
     ``mapping[e]`` is the image of source event ``e``.  Existence of a
@@ -189,7 +233,11 @@ class Morphism:
     ``x``; the mapping itself is the checkable witness.
     """
 
+    __slots__ = ("mapping",)
     mapping: tuple[int, ...]
+
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        _set_slot(self, "mapping", mapping)
 
     def is_valid(self, src: PartialString, tgt: PartialString) -> bool:
         """Re-check bijectivity, label preservation and monotonicity."""

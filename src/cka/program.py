@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .partial_string import (
     PartialString,
+    _Frozen,
+    _set_slot,
     _shape,
     empty,
     from_text,
@@ -27,8 +28,7 @@ from .partial_string import (
 ComposeOp = Callable[[PartialString, PartialString], PartialString]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Frozen):
     """Finite generator set standing for its downward closure.
 
     The operators in this module keep generators normalized: pairwise
@@ -38,7 +38,11 @@ class Program:
     :func:`equals`; the generator tuple is representation, not meaning.
     """
 
+    __slots__ = ("generators",)
     generators: tuple[PartialString, ...]
+
+    def __init__(self, generators: tuple[PartialString, ...]) -> None:
+        _set_slot(self, "generators", generators)
 
 
 def zero() -> Program:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .language import lang_subset, linearize
@@ -21,7 +20,9 @@ from .partial_string import (
     DependenceRelation,
     Label,
     PartialString,
+    _Frozen,
     _bits,
+    _set_slot,
     _shape,
     chain,
     empty,
@@ -49,22 +50,32 @@ from .program import (
 )
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Frozen):
     """Sampling parameters; a fixed seed pins the whole stream."""
 
-    max_events: int = 4
-    alphabet: tuple[Label, ...] = ("a", "b")
-    edge_probability: float = 0.4
-    seed: int = 0
+    __slots__ = ("max_events", "alphabet", "edge_probability", "seed")
+    max_events: int
+    alphabet: tuple[Label, ...]
+    edge_probability: float
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.max_events < 0:
+    def __init__(
+        self,
+        max_events: int = 4,
+        alphabet: tuple[Label, ...] = ("a", "b"),
+        edge_probability: float = 0.4,
+        seed: int = 0,
+    ) -> None:
+        if max_events < 0:
             raise ValueError("max_events must be >= 0")
-        if not self.alphabet:
+        if not alphabet:
             raise ValueError("alphabet must be nonempty")
-        if not 0.0 <= self.edge_probability <= 1.0:
+        if not 0.0 <= edge_probability <= 1.0:
             raise ValueError("edge_probability must be within [0, 1]")
+        _set_slot(self, "max_events", max_events)
+        _set_slot(self, "alphabet", alphabet)
+        _set_slot(self, "edge_probability", edge_probability)
+        _set_slot(self, "seed", seed)
 
 
 # --------------------------------------------------------------------- #
@@ -265,11 +276,16 @@ def _sample_program(
 LawCheck = Callable[[random.Random, GenConfig], bool]
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(_Frozen):
+    __slots__ = ("name", "group", "check")
     name: str
     group: str  # "pomset", "program" or "language"
     check: LawCheck
+
+    def __init__(self, name: str, group: str, check: LawCheck) -> None:
+        _set_slot(self, "name", name)
+        _set_slot(self, "group", group)
+        _set_slot(self, "check", check)
 
 
 LAWS: list[Law] = []
@@ -608,20 +624,30 @@ PROGRAM_ALGEBRA_LAW_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(_Frozen):
+    __slots__ = ("name", "passes", "failures")
     name: str
     passes: int
     failures: int
 
+    def __init__(self, name: str, passes: int, failures: int) -> None:
+        _set_slot(self, "name", name)
+        _set_slot(self, "passes", passes)
+        _set_slot(self, "failures", failures)
 
-@dataclass(frozen=True)
-class LawReport:
+
+class LawReport(_Frozen):
     """Outcome of one law-suite run; text form is byte-stable per seed."""
 
+    __slots__ = ("seed", "cases", "results")
     seed: int
     cases: int
     results: tuple[LawResult, ...]
+
+    def __init__(self, seed: int, cases: int, results: tuple[LawResult, ...]) -> None:
+        _set_slot(self, "seed", seed)
+        _set_slot(self, "cases", cases)
+        _set_slot(self, "results", results)
 
     @property
     def ok(self) -> bool:

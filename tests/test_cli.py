@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -150,6 +151,13 @@ def test_lang_rejects_negative_max_display(capsys):
     code, out, err = run_cli(capsys, "lang", "a", "--max-display", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --max-display must be nonnegative\n"
+
+
+def test_lang_max_display_beyond_maxsize_lists_every_word(capsys):
+    code, out, err = run_cli(capsys, "lang", "a", "--max-display", str(sys.maxsize + 1))
+    assert (code, out, err) == (0, "a\n", "")
+    code, out, _ = run_cli(capsys, "lang", "a|b", "--max-display", str(2**80))
+    assert (code, out) == (0, "a b\nb a\n")
 
 
 def test_lang_counts_words_only_under_max_display(capsys, monkeypatch):
@@ -409,6 +417,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "holds"
+
+
+def test_startup_imports_no_dataclass_machinery():
+    # The import a CLI start pays for, in an isolated interpreter.
+    src = os.path.dirname(os.path.dirname(cka.cli.__file__))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cka, cka.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_long_operator_chain_evaluates(capsys):

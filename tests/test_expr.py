@@ -295,7 +295,7 @@ def test_pretty_round_trips_random_trees():
 
 
 def test_deep_terms_round_trip_without_recursion():
-    # Deep trees are compared by their text: dataclass == recurses.
+    # Deep trees are compared by their text: a node's == recurses.
     for text in (
         "seqstar(" * 5000 + "a" + ",1)" * 5000,
         "a;(" * 5000 + "a;a" + ")" * 5000,
