@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .partial_string import Label, PartialString, _shape
+from .partial_string import Label, PartialString, _fill
 from .program import Program
 
 Word = tuple[Label, ...]
@@ -53,17 +53,17 @@ class WordAutomaton:
         accept = []
         for gi, g in enumerate(generators):
             n = g.n_events
-            shape = _shape(g)
+            down = _fill(g)._down
             # Events with equal label, strict down-set and strict up-set
             # are interchangeable: taking them in index order keeps every
             # word and leaves one item where there were many.
             last: dict[tuple, int] = {}
             events = []
             for e in range(n):
-                key = (g.labels[e], shape.down[e], g.order[e] ^ 1 << e)
+                key = (g.labels[e], down[e], g.order[e] ^ 1 << e)
                 twin = last.get(key)
                 last[key] = e
-                pred = shape.down[e] if twin is None else shape.down[e] | 1 << twin
+                pred = down[e] if twin is None else down[e] | 1 << twin
                 bit = 1 << e << shift
                 events.append((bit | pred << shift, pred << shift, g.labels[e]))
             self._events.append(events)

@@ -15,8 +15,8 @@ Values are interned (hash-consed): the constructor returns the live
 object of an equal value when there is one, through a table of weak
 references that drops an entry when its value dies.  Equal values are
 therefore one object, and equality and hashing are by identity.  Each
-value keeps its shape record (:class:`_Shape`), built on first use, for
-as long as the value lives.
+value also carries what its ``order`` rows do not answer directly, in
+private fields set on first use and kept for as long as the value lives.
 """
 
 from __future__ import annotations
@@ -68,11 +68,20 @@ class PartialString:
     The constructor returns the live object of an equal value when there
     is one, so equal values are one object, and equality and hashing are
     by identity.  Values are immutable, and ``copy``, ``deepcopy`` and
-    ``pickle`` return the interned object.  A value's shape record (see
-    :class:`_Shape`) is built on first use and lives as long as the value.
+    ``pickle`` return the interned object.
+
+    The refinement search and normalization read private fields that the
+    value fills on first use.  :func:`_fill` sets ``_sorted`` (the sorted
+    labels), ``_pairs`` (the strict pair count) and ``_down`` (strict down
+    masks: bit ``i`` of ``_down[j]`` is set when ``i`` strictly precedes
+    ``j``); readers take the up side from ``order``.  :func:`_signature`
+    sets ``_sig`` and :func:`_cover_text` sets ``_text``.  ``_down``,
+    ``_sig`` and ``_text`` are ``None`` until set.
     """
 
-    __slots__ = ("labels", "order", "_record", "__weakref__")
+    __slots__ = (
+        "labels", "order", "_sorted", "_pairs", "_down", "_sig", "_text", "__weakref__"
+    )
 
     labels: tuple[Label, ...]
     order: tuple[int, ...]
@@ -87,7 +96,9 @@ class PartialString:
         x = object.__new__(cls)
         _set_slot(x, "labels", key[0])
         _set_slot(x, "order", key[1])
-        _set_slot(x, "_record", None)
+        _set_slot(x, "_down", None)
+        _set_slot(x, "_sig", None)
+        _set_slot(x, "_text", None)
         ref = _Ref(x, _forget)
         ref.key = key
         # setdefault is atomic, so two threads never register one value
@@ -388,28 +399,18 @@ def weakseq(
 # --------------------------------------------------------------------- #
 
 
-class _Shape:
-    """What a value's ``order`` rows do not answer directly.
+def _fill(x: PartialString) -> PartialString:
+    """``x``, with its sorted labels, strict pair count and strict down masks set.
 
-    The record holds the value's sorted labels, its strict pair count and
-    its strict down masks (bit ``i`` of ``down[j]`` set when ``i`` strictly
-    precedes ``j``); readers take the up side from ``order``.  ``sig``
-    packs the sorted per-event (label rank, |down|, |up|) ints in one int,
-    computed on first read: only normalization of label groups of two or
-    more reads it.  ``text()`` is also built on first read: by
-    :func:`to_text`, and by normalization only for isomorphic copies and
-    equal label tuples.  :func:`_shape` builds one record per value, kept
-    on the value; the record refers to the value's ``labels`` and
-    ``order`` tuples, never to the value.
+    The first call walks ``x``'s strict pairs once and sets ``_sorted``
+    and ``_pairs``, then ``_down`` last: a value whose ``_down`` is set
+    has all three, whichever thread reads it.  Two threads may both fill
+    a value; either fill is the same.
     """
-
-    __slots__ = ("events", "order", "labels", "pairs", "down", "_sig", "_text")
-
-    def __init__(self, ps: PartialString) -> None:
-        down = [0] * len(ps.order)
-        pairs = 0
-        # Bits walked inline, not with _bits: every fresh value builds this.
-        for i, row in enumerate(ps.order):
+    if x._down is None:
+        down, pairs = [0] * len(x.order), 0
+        # Bits walked inline, not with _bits: every searched value fills this.
+        for i, row in enumerate(x.order):
             bit = 1 << i
             row ^= bit
             pairs += row.bit_count()
@@ -417,43 +418,49 @@ class _Shape:
                 low = row & -row
                 down[low.bit_length() - 1] |= bit
                 row ^= low
-        self.events, self.order, self.labels = ps.labels, ps.order, tuple(sorted(ps.labels))
-        self.pairs, self.down, self._sig, self._text = pairs, tuple(down), None, None
-
-    @property
-    def sig(self) -> int:
-        if self._sig is None:
-            n, labels = len(self.events), self.labels
-            width, sig = (n**3).bit_length(), 0
-            for v in sorted(
-                (labels.index(lab) * n + d.bit_count()) * n + u.bit_count() - 1
-                for lab, d, u in zip(self.events, self.down, self.order)
-            ):
-                sig = sig << width | v
-            self._sig = sig
-        return self._sig
-
-    def text(self) -> str:
-        """The text format (cover pairs only), serialized on first call."""
-        if self._text is None:
-            parts = ["events:", *[" " + lab for lab in self.events]]
-            for i, row in enumerate(_cover_rows(self.order)):
-                while row:
-                    low = row & -row
-                    parts.append(f"\norder: {i} < {low.bit_length() - 1}")
-                    row ^= low
-            self._text = "".join(parts)
-        return self._text
+        _set_slot(x, "_sorted", tuple(sorted(x.labels)))
+        _set_slot(x, "_pairs", pairs)
+        _set_slot(x, "_down", tuple(down))
+    return x
 
 
-def _shape(x: PartialString) -> _Shape:
-    """``x``'s shape record, built on first use and kept on ``x``."""
-    record = x._record
-    if record is None:
-        # Two threads may both build it; either record is the same.
-        record = _Shape(x)
-        _set_slot(x, "_record", record)
-    return record
+def _signature(x: PartialString) -> int:
+    """The sorted per-event (label rank, |down|, |up|) ints, packed in one int.
+
+    Computed on first call and kept in ``x._sig``: only normalization of
+    label groups of two or more and :func:`cka.testkit.enumerate_all`
+    read it.
+    """
+    sig = x._sig
+    if sig is None:
+        n, labels = len(x.labels), _fill(x)._sorted
+        width, sig = (n**3).bit_length(), 0
+        for v in sorted(
+            (labels.index(lab) * n + d.bit_count()) * n + u.bit_count() - 1
+            for lab, d, u in zip(x.labels, x._down, x.order)
+        ):
+            sig = sig << width | v
+        _set_slot(x, "_sig", sig)
+    return sig
+
+
+def _cover_text(x: PartialString) -> str:
+    """The text format (cover pairs only), serialized on first call.
+
+    Kept in ``x._text``: read by :func:`to_text`, and by normalization only
+    for isomorphic copies and equal label tuples.
+    """
+    text = x._text
+    if text is None:
+        parts = ["events:", *[" " + lab for lab in x.labels]]
+        for i, row in enumerate(_cover_rows(x.order)):
+            while row:
+                low = row & -row
+                parts.append(f"\norder: {i} < {low.bit_length() - 1}")
+                row ^= low
+        text = "".join(parts)
+        _set_slot(x, "_text", text)
+    return text
 
 
 def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
@@ -475,10 +482,9 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     n = src.n_events
     if tgt.n_events != n:
         return None
-    s_shape, t_shape = _shape(src), _shape(tgt)
-    if s_shape.labels != t_shape.labels or s_shape.pairs > t_shape.pairs:
+    if _fill(src)._sorted != _fill(tgt)._sorted or src._pairs > tgt._pairs:
         return None
-    if not s_shape.pairs:
+    if not src._pairs:
         slots: dict[Label, list[int]] = {}
         for t in reversed(range(n)):
             slots.setdefault(tgt.labels[t], []).append(t)
@@ -487,7 +493,7 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     # up-set size on both sides.  An event is not placed while its options
     # are built, so its own bit in ``s_up`` picks no successor, and a placed
     # image's own bit in ``t_up`` is already in ``used``.
-    s_down, s_up, t_down, t_up = s_shape.down, src.order, t_shape.down, tgt.order
+    s_down, s_up, t_down, t_up = src._down, src.order, tgt._down, tgt.order
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
     cand = []
@@ -545,7 +551,7 @@ def isomorphic(x: PartialString, y: PartialString) -> bool:
     A refinement only adds order pairs, so one between strings with equal
     pair counts maps order pairs onto order pairs and is an isomorphism.
     """
-    return _shape(x).pairs == _shape(y).pairs and refines(x, y)
+    return _fill(x)._pairs == _fill(y)._pairs and refines(x, y)
 
 
 def exchange_holds(
@@ -600,7 +606,7 @@ def to_text(x: PartialString) -> str:
     for lab in dict.fromkeys(x.labels):
         if lab.split() != [lab]:
             raise TextFormatError(f"label {lab!r} cannot be written in the text format")
-    return _shape(x).text()
+    return _cover_text(x)
 
 
 def from_text(text: str) -> PartialString:

@@ -16,8 +16,10 @@ from typing import Callable, Iterable
 from .partial_string import (
     PartialString,
     _Frozen,
+    _cover_text,
+    _fill,
     _set_slot,
-    _shape,
+    _signature,
     empty,
     from_text,
     refines,
@@ -60,11 +62,12 @@ def normalize_program(p: Program) -> Program:
 
     A refinement only adds strict order pairs and adds none exactly when
     it is an isomorphism, so an absorber has the same sorted labels and
-    either fewer strict pairs or the same signature (see ``_Shape``).  The
-    distinct generators are grouped by sorted labels; a group of one is
-    kept as it is.  In a larger group one greedy pass visits them by pair
-    count, then signature, and drops one that refines a kept generator
-    with fewer pairs.  One that refines a kept twin of the same signature
+    either fewer strict pairs or the same signature (fields of each
+    value, see :class:`~cka.partial_string.PartialString`).  The distinct
+    generators are grouped by sorted labels; a group of one is kept as it
+    is.  In a larger group one greedy pass visits them by pair count,
+    then signature, and drops one that refines a kept generator with
+    fewer pairs.  One that refines a kept twin of the same signature
     is isomorphic to it, and of the two the copy with the smaller
     serialized text is kept, so the serialized-earliest copy survives
     whatever the input order.
@@ -85,7 +88,7 @@ def normalize_program(p: Program) -> Program:
         return p
     groups: dict[tuple, list[PartialString]] = {}
     for g in dict.fromkeys(p.generators):
-        groups.setdefault(_shape(g).labels, []).append(g)
+        groups.setdefault(_fill(g)._sorted, []).append(g)
     kept: list[PartialString] = []
     for group in groups.values():
         if len(group) == 1:
@@ -94,16 +97,16 @@ def normalize_program(p: Program) -> Program:
         start = len(kept)
         pairs = sig = None
         for g in sorted(group, key=_absorption_order):
-            s = _shape(g)
-            if s.pairs != pairs:
-                layer, pairs = len(kept), s.pairs  # kept[start:layer]: fewer pairs
-            if s.sig != sig:
-                twin, sig = len(kept), s.sig  # kept[twin:]: same signature
+            # The sort key filled g's pair count and signature.
+            if g._pairs != pairs:
+                layer, pairs = len(kept), g._pairs  # kept[start:layer]: fewer pairs
+            if g._sig != sig:
+                twin, sig = len(kept), g._sig  # kept[twin:]: same signature
             if any(refines(g, t) for t in kept[start:layer]):
                 continue
             for i in range(twin, len(kept)):
                 if refines(g, kept[i]):
-                    if s.text() < _shape(kept[i]).text():
+                    if _cover_text(g) < _cover_text(kept[i]):
                         kept[i] = g
                     break
             else:
@@ -113,15 +116,15 @@ def normalize_program(p: Program) -> Program:
             ties = Counter(g.labels for g in survivors)
             kept[start:] = sorted(
                 survivors,
-                key=lambda g: (g.labels, ties[g.labels] > 1 and _shape(g).text()),
+                key=lambda g: (g.labels, ties[g.labels] > 1 and _cover_text(g)),
             )
     kept.sort(key=_output_order)
     return Program(tuple(kept))
 
 
 def _absorption_order(g: PartialString) -> tuple:
-    s = _shape(g)
-    return s.pairs, s.sig
+    sig = _signature(g)  # fills g._pairs too
+    return g._pairs, sig
 
 
 def _output_order(g: PartialString) -> tuple:
@@ -150,9 +153,9 @@ def subset(p: Program, q: Program) -> bool:
     have = set(q.generators)
     by_labels: dict[tuple, list[PartialString]] = {}
     for h in q.generators:
-        by_labels.setdefault(_shape(h).labels, []).append(h)
+        by_labels.setdefault(_fill(h)._sorted, []).append(h)
     return all(
-        g in have or any(refines(g, h) for h in by_labels.get(_shape(g).labels, ()))
+        g in have or any(refines(g, h) for h in by_labels.get(_fill(g)._sorted, ()))
         for g in p.generators
     )
 

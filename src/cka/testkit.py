@@ -22,8 +22,9 @@ from .partial_string import (
     PartialString,
     _Frozen,
     _bits,
+    _fill,
     _set_slot,
-    _shape,
+    _signature,
     chain,
     empty,
     exchange_holds,
@@ -180,8 +181,7 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
         for rows_t in orders:
             for labelling in itertools.product(labs, repeat=n):
                 ps = PartialString(labelling, rows_t)
-                shape = _shape(ps)
-                key = (shape.labels, shape.pairs, shape.sig)
+                key = (_fill(ps)._sorted, ps._pairs, _signature(ps))
                 group = buckets.setdefault(key, [])
                 if not any(refines(ps, found[k]) for k in group):
                     group.append(len(found))

@@ -32,7 +32,7 @@ from cka import (
     validate,
     weakseq,
 )
-from cka.partial_string import _shape
+from cka.partial_string import _cover_text, _fill, _signature
 from cka.testkit import (
     GenConfig,
     _bijections,
@@ -578,18 +578,29 @@ def _text_by_brute_force(x):
     return covers, "\n".join(lines + [f"order: {i} < {j}" for i, j in covers])
 
 
-def test_shape_record_matches_definitions_from_order():
+def test_shape_fields_match_definitions_from_order():
     rng = random.Random(29)
     cfg = GenConfig(max_events=9, alphabet=("a", "b", "c"), edge_probability=0.3, seed=29)
     corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
     corpus += [_permuted(rng, x) for x in corpus]
     # Equal signatures exactly when the triple signatures are equal.
     pairs = {
-        ((s.labels, s.pairs, s.sig), _triple_signature(x))
-        for s, x in zip(map(_shape, corpus), corpus)
+        ((_fill(x)._sorted, x._pairs, _signature(x)), _triple_signature(x))
+        for x in corpus
     }
     assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
     assert len(pairs) > 300
+    built = []
+    for _ in range(300):
+        x, y = rng.choice(corpus), rng.choice(corpus)
+        built += [seq(x, y), par(x, y), weakseq(x, y, _sample_dependence(rng, cfg))]
+    for x in corpus + built:
+        n = x.n_events
+        lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]
+        _fill(x)
+        assert x._sorted == tuple(sorted(x.labels))
+        assert x._down == tuple(sum(lt[i][j] << i for i in range(n)) for j in range(n))
+        assert x._pairs == sum(map(sum, lt))
     # Long chains with shuffled indices: the lowest successor is rarely the cover.
     corpus += [_permuted(rng, chain(rng.choices("abc", k=40))) for _ in range(5)]
     for x in corpus:
@@ -607,19 +618,26 @@ def test_text_hasse_and_dot_read_one_cover_walk():
         corpus += [long, _permuted(rng, long)]
     for x in corpus:
         covers, text = _text_by_brute_force(x)
-        assert _shape(x).text() == text
+        assert _cover_text(x) == text
         assert hasse(x) == covers
         edges = re.findall(r"^  e(\d+) -> e(\d+);$", to_dot(x), re.MULTILINE)
         assert [(int(i), int(j)) for i, j in edges] == covers
 
 
-def test_covers_and_strict_pairs_build_no_record():
+def test_order_queries_and_operators_fill_no_fields():
+    def unset(v):
+        return (v._down, v._sig, v._text) == (None, None, None)
+
     x = from_strict_pairs(("covers0", "covers1", "covers2"), [(0, 1), (1, 2)])
-    assert x._record is None
+    assert unset(x)
+    validate(x)
+    assert x.leq(0, 2) and not x.leq(2, 0)
+    assert x.order_pair_count() == 6
     assert hasse(x) == [(0, 1), (1, 2)]
     assert x.strict_pairs() == [(0, 1), (0, 2), (1, 2)]
     assert "e1 -> e2;" in to_dot(x)
-    assert x._record is None
+    built = [seq(x, x), par(x, x)]
+    assert all(map(unset, [x, *built]))
 
 
 def test_hasse_of_chain():

@@ -38,7 +38,7 @@ from cka import (
     weakseq,
     zero,
 )
-from cka.partial_string import _shape, _Shape
+from cka.partial_string import _cover_text, _fill, _signature
 from cka.program import _kleene_chain
 from cka.testkit import (
     GenConfig,
@@ -120,6 +120,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _wrap(monkeypatch, name, before):
+    """Have partial_string's and program's ``name`` call ``before(x)`` first."""
+    original = getattr(cka.partial_string, name)
+
+    def wrapped(x):
+        before(x)
+        return original(x)
+
+    for module in (cka.partial_string, cka.program):
+        monkeypatch.setattr(module, name, wrapped)
+
+
 def _count_validate(monkeypatch):
     calls = _count_calls(monkeypatch, cka.partial_string, "validate")
     monkeypatch.setattr(cka.program, "validate", cka.partial_string.validate)
@@ -157,7 +169,7 @@ def test_normalize_generators_match_brute_force_oracle():
     # without being isomorphic.
     words = [chain(w) for w in sorted(set(itertools.permutations("aabbc")))]
     corpus = enumerate_all(4, "ab")
-    sigs = [(s.labels, s.pairs, s.sig) for s in map(_shape, corpus)]
+    sigs = [(_fill(x)._sorted, x._pairs, _signature(x)) for x in corpus]
     twins = [x for x, sig in zip(corpus, sigs) if sigs.count(sig) > 1]
     assert len(twins) == 2
     for _ in range(10):
@@ -217,10 +229,9 @@ def test_normalize_orders_labels_at_or_below_space_by_label_tuple():
 
 
 def _text_reads(monkeypatch):
-    """The shape records whose text is read, one entry per read."""
+    """The values whose text is read, one entry per read."""
     reads = []
-    text = _Shape.text
-    monkeypatch.setattr(_Shape, "text", lambda s: reads.append(s) or text(s))
+    _wrap(monkeypatch, "_cover_text", reads.append)
     return reads
 
 
@@ -264,7 +275,7 @@ def test_normalize_serializes_only_isomorphic_copies(monkeypatch):
     rng.shuffle(gens)
     reads = _text_reads(monkeypatch)
     out = normalize_program(Program(tuple(gens)))
-    assert {id(s) for s in reads} == {id(_shape(c)) for c in copies}
+    assert {id(x) for x in reads} == {id(c) for c in copies}
     assert sum(g in copies for g in out.generators) == 1
 
 
@@ -290,7 +301,7 @@ def test_normalize_compares_each_pair_of_look_alikes_once(monkeypatch):
     normalized = normalize_program(Program(tuple(gens)))
     assert calls == []
     assert normalized.generators == tuple(
-        sorted(gens, key=lambda g: (g.n_events, _shape(g).text()))
+        sorted(gens, key=lambda g: (g.n_events, _cover_text(g)))
     )
     words = sorted(set(itertools.permutations("aabb")))
     normalized = normalize_program(Program(tuple(chain(w) for w in words)))
@@ -472,18 +483,22 @@ def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
     assert calls
 
 
-def test_star_builds_one_record_per_distinct_generator(monkeypatch):
+def test_star_fills_each_distinct_generator_once(monkeypatch):
     _kleene_chain.cache_clear()
-    builds = _count_calls(monkeypatch, cka.partial_string, "_Shape")
-    a_or_b = program_of((singleton("a"), singleton("b")))
+    fills = []
+    _wrap(monkeypatch, "_fill", lambda x: x._down is None and fills.append(x))
+    # Labels no other test uses, so every word but the empty one is fresh.
+    a_or_b = program_of((singleton("fill-a"), singleton("fill-b")))
     words = star(a_or_b, seq, 7)
     # Every generator met on the way is one of the 2**7 - 1 final words.
     assert len(words.generators) == 2**7 - 1
-    assert len(builds) == 2**7 - 1
+    assert len(fills) == len(set(fills))
+    assert set(fills) | {empty()} == set(words.generators)
+    filled = len(fills)
     covers = _count_calls(monkeypatch, cka.partial_string, "hasse")
     program_to_text(words)
     assert covers == []
-    assert len(builds) == 2**7 - 1
+    assert len(fills) == filled
 
 
 def test_dropped_chain_leaves_the_intern_table():
@@ -501,8 +516,7 @@ def test_dropped_chain_leaves_the_intern_table():
 
 def test_normalize_reads_no_signature_of_a_lone_generator(monkeypatch):
     reads = []
-    sig = _Shape.sig
-    monkeypatch.setattr(_Shape, "sig", property(lambda s: reads.append(s) or sig.fget(s)))
+    _wrap(monkeypatch, "_signature", reads.append)
     gens = (chain("bbb"), ab_par(), singleton("a"), chain("aab"), singleton("a"))
     out = normalize_program(Program(gens))
     assert out.generators == (singleton("a"), ab_par(), chain("aab"), chain("bbb"))
@@ -512,7 +526,7 @@ def test_normalize_reads_no_signature_of_a_lone_generator(monkeypatch):
 
 
 def test_evaluate_long_seq_chain_skips_serialization(monkeypatch):
-    calls = _count_calls(monkeypatch, _Shape, "text")
+    calls = _text_reads(monkeypatch)
     assert evaluate(parse_text(";".join("a" * 300))).generators == (chain("a" * 300),)
     assert calls == []
 

@@ -29,7 +29,7 @@ RESULT = LawResult("x", 3, 0)
 # (its repr, a function building equal values in different ways and an
 #  unequal value, constructor keywords that must fail with the given
 #  ValueError message).  Values are built in the test: a partial string
-#  kept alive here would keep its shape record between other tests.
+#  kept alive here would keep its filled fields between other tests.
 CASES = [
     ("Token(kind='IDENT', text='a', offset=0)",
      lambda: ([Token("IDENT", "a", 0), Token(kind="IDENT", text="a", offset=0)],
