@@ -3,7 +3,8 @@
 Subcommands: refines, equal, member, lang, dot, laws, star.  Exit code 0
 means the query holds, 1 means it fails, 2 means the input was rejected
 (lexical, syntax, file or validation error), 4 means an internal error
-(a bug); 3 is kept for budgets.
+(a bug), and 141 means the reader closed stdout before the output ended
+(silently, as a process that SIGPIPE ends); 3 is kept for budgets.
 
 ``--weak-dep``, offered by every subcommand except ``laws``, chooses the
 composition that ``;`` means.  ``main`` reads it once, before the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 import time
 from typing import Optional
@@ -271,7 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, _seq_compose(getattr(args, "weak_dep", None)))
+        status = args.fn(args, _seq_compose(getattr(args, "weak_dep", None)))
+        print(end="", flush=True)  # a reader that left after the last line fails here
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: not an input error.  Point the descriptor
+        # at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

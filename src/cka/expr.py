@@ -6,6 +6,12 @@ Primaries are label identifiers, the constants ``0`` and ``1``,
 parenthesized terms, and the bounded iteration forms ``seqstar(E, n)``
 and ``parstar(E, n)`` with a positive integer bound.
 
+Each compound shape has one private base that holds its fields and
+constructor: ``_Binary`` (``left``, ``right``) under ``Seq``, ``Par``
+and ``Union``, and ``_Star`` (``body``, ``bound``) under ``SeqStar`` and
+``ParStar``.  The public nodes add nothing to their base, and ``==``
+still compares by exact type, so ``Seq(a, b) != Par(a, b)``.
+
 Two tables state the grammar once: ``_BINARY`` lists the binary
 operators' symbols and nodes, loosest first (a symbol's index is its
 precedence), and ``_STARS`` maps each star keyword to its node.  The
@@ -74,7 +80,7 @@ class Sym(_Frozen):
         _set_slot(self, "label", label)
 
 
-class Seq(_Frozen):
+class _Binary(_Frozen):
     __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
@@ -84,27 +90,19 @@ class Seq(_Frozen):
         _set_slot(self, "right", right)
 
 
-class Par(_Frozen):
-    __slots__ = ("left", "right")
-    left: "Expr"
-    right: "Expr"
-
-    def __init__(self, left: "Expr", right: "Expr") -> None:
-        _set_slot(self, "left", left)
-        _set_slot(self, "right", right)
+class Seq(_Binary):
+    __slots__ = ()
 
 
-class Union(_Frozen):
-    __slots__ = ("left", "right")
-    left: "Expr"
-    right: "Expr"
-
-    def __init__(self, left: "Expr", right: "Expr") -> None:
-        _set_slot(self, "left", left)
-        _set_slot(self, "right", right)
+class Par(_Binary):
+    __slots__ = ()
 
 
-class SeqStar(_Frozen):
+class Union(_Binary):
+    __slots__ = ()
+
+
+class _Star(_Frozen):
     __slots__ = ("body", "bound")
     body: "Expr"
     bound: int
@@ -114,14 +112,12 @@ class SeqStar(_Frozen):
         _set_slot(self, "bound", bound)
 
 
-class ParStar(_Frozen):
-    __slots__ = ("body", "bound")
-    body: "Expr"
-    bound: int
+class SeqStar(_Star):
+    __slots__ = ()
 
-    def __init__(self, body: "Expr", bound: int) -> None:
-        _set_slot(self, "body", body)
-        _set_slot(self, "bound", bound)
+
+class ParStar(_Star):
+    __slots__ = ()
 
 
 Expr = Zero | One | Sym | Seq | Par | Union | SeqStar | ParStar

@@ -165,9 +165,10 @@ def _forget(ref: _Ref) -> None:
 class _Frozen:
     """Base of the immutable value types: slotted records compared by value.
 
-    A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__``'s parameters, and that ``__init__`` sets them with
-    ``_set_slot``; positional ``match`` patterns read them in that order.
+    A class's fields are its own ``__slots__`` after those of its
+    ``_Frozen`` bases, in the order of its ``__init__``'s parameters, and
+    that ``__init__`` sets them with ``_set_slot``; ``__match_args__``
+    lists them, so positional ``match`` patterns read them in that order.
     Its values are equal when their types are the same and their fields
     are equal, hash as the tuple of their fields, print as
     ``Type(field=value, ...)``, and copy and pickle through
@@ -176,12 +177,13 @@ class _Frozen:
     """
 
     __slots__ = ()
+    __match_args__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
+        cls.__match_args__ = cls.__match_args__ + cls.__slots__
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -192,7 +194,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:

@@ -419,6 +419,34 @@ def test_module_entry_point_runs():
     assert proc.stdout.splitlines()[0] == "holds"
 
 
+def test_closed_stdout_exits_141_silently():
+    # The reader leaves after one line of a 4095-generator star.
+    src = os.path.dirname(os.path.dirname(cka.cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cka", "star", "a+b", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"events:")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
+def test_no_stdout_at_all_is_not_an_error():
+    # With descriptor 1 closed, sys.stdout is None and print writes nothing.
+    src = os.path.dirname(os.path.dirname(cka.cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cka", "lang", "a|b"],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_startup_imports_no_dataclass_machinery():
     # The import a CLI start pays for, in an isolated interpreter.
     src = os.path.dirname(os.path.dirname(cka.cli.__file__))

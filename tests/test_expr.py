@@ -98,6 +98,33 @@ def test_parse_constants_and_stars():
     assert parse_text("parstar(a;b,2)") == ParStar(Seq(Sym("a"), Sym("b")), 2)
 
 
+def _shape(e):
+    match e:
+        case Seq(Sym(left), Sym(right)):
+            return "seq", left, right
+        case Par(Seq(Sym(a), Sym(b)), Sym(right)):
+            return "par", a, b, right
+        case Union(left=Sym(left)):
+            return "union", left
+        case SeqStar(body, bound):
+            return "seqstar", pretty(body), bound
+        case ParStar(Par(Sym(left), Sym(right)), bound=bound):
+            return "parstar", left, right, bound
+    return None
+
+
+def test_match_takes_apart_the_fields_of_each_compound_node():
+    assert _shape(parse_text("a;b")) == ("seq", "a", "b")
+    assert _shape(parse_text("a;b|c")) == ("par", "a", "b", "c")
+    assert _shape(parse_text("a+b;c")) == ("union", "a")
+    assert _shape(parse_text("seqstar(a,2)")) == ("seqstar", "a", 2)
+    assert _shape(parse_text("seqstar(a|b+c,3)")) == ("seqstar", "a|b+c", 3)
+    assert _shape(parse_text("parstar(a|b,4)")) == ("parstar", "a", "b", 4)
+    # The class in a pattern is matched exactly among the sibling nodes.
+    for text in ("a|b", "(a;b)+c", "a;b;c", "parstar(a;b,2)", "a"):
+        assert _shape(parse_text(text)) is None
+
+
 def test_parse_errors_name_token_and_offset():
     with pytest.raises(ParseError) as err:
         parse_text("a;;b")
