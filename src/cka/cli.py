@@ -3,7 +3,9 @@
 Subcommands: refines, equal, member, lang, dot, laws, star.  Exit code 0
 means the query holds, 1 means it fails, 2 means the input was rejected
 (lexical, syntax, file or validation error), 4 means an internal error
-(a bug), and 141 means the reader closed stdout before the output ended
+(a bug), 74 means writing the output failed (``EX_IOERR`` of
+``sysexits.h``, with one ``error: cannot write output: ...`` line on
+stderr), and 141 means the reader closed stdout before the output ended
 (silently, as a process that SIGPIPE ends); 3 is kept for budgets.
 
 ``--weak-dep``, offered by every subcommand except ``laws``, chooses the
@@ -103,8 +105,11 @@ def _one_string(
     if path is not None:
         if expr is not None:
             raise ValueError(f"give either an {what} or --file, not both")
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return from_text(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8-sig") as handle:
+                return from_text(handle.read())
+        except OSError as exc:  # an unreadable file is rejected input
+            raise ValueError(exc) from None
     if expr is None:
         raise ValueError(f"an {what} or --file is required")
     p = _eval_operand(expr, compose)
@@ -276,14 +281,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         status = args.fn(args, _seq_compose(getattr(args, "weak_dep", None)))
         print(end="", flush=True)  # a reader that left after the last line fails here
         return status
-    except BrokenPipeError:
-        # The reader closed stdout: not an input error.  Point the descriptor
-        # at devnull so the interpreter's final flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Writing the output failed: not an input error.  Point the descriptor
+        # at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout
+            return 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 74  # EX_IOERR of sysexits.h
     except Exception as exc:  # a bug: never report it as a failing query
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -11,12 +11,16 @@ exists from ``y``'s events onto ``x``'s: every ordering constraint of
 ``y`` is present in ``x``, so ``x`` is the more deterministic of the two.
 All values are immutable; every operation is a pure function.
 
-Values are interned (hash-consed): the constructor returns the live
-object of an equal value when there is one, through a table of weak
+Every value type of the library derives from ``_Frozen``, one slotted
+base that gives immutability, ``repr``, copying, pickling and positional
+``match`` over a class's public slots, its fields.
+Partial strings are interned (hash-consed): the constructor returns the
+live object of an equal value when there is one, through a table of weak
 references that drops an entry when its value dies.  Equal values are
-therefore one object, and equality and hashing are by identity.  Each
-value also carries what its ``order`` rows do not answer directly, in
-private fields set on first use and kept for as long as the value lives.
+therefore one object, so equality and hashing are by identity rather than
+by field.  Each value also carries what its ``order`` rows do not answer
+directly, in private slots set on first use and kept for as long as the
+value lives; private slots hold derived facts, not fields.
 """
 
 from __future__ import annotations
@@ -55,7 +59,54 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
     return out
 
 
-class PartialString:
+class _Frozen:
+    """Base of the immutable value types: slotted records compared by value.
+
+    A class's fields are its own public ``__slots__`` (those without a
+    leading underscore) after those of its ``_Frozen`` bases, in the order
+    of its constructor's parameters, and the constructor sets them with
+    ``_set_slot``; ``__match_args__`` lists them, so positional ``match``
+    patterns read them in that order.  Private slots hold facts derived
+    from the fields and are not fields.  Its values are equal when their
+    types are the same and their fields are equal, hash as the tuple of
+    their fields, print as ``Type(field=value, ...)``, and copy and pickle
+    through ``__reduce__``; setting or deleting an attribute raises
+    ``AttributeError``.  :class:`PartialString` is interned, so it keeps
+    the rest but compares and hashes by identity.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PartialString(_Frozen):
     """A finite labelled partial order, interned: one object per value.
 
     ``labels[i]`` is the alphabet symbol of event ``i``.  ``order[i]`` is
@@ -67,8 +118,11 @@ class PartialString:
 
     The constructor returns the live object of an equal value when there
     is one, so equal values are one object, and equality and hashing are
-    by identity.  Values are immutable, and ``copy``, ``deepcopy`` and
-    ``pickle`` return the interned object.
+    by identity.  The fields are ``labels`` and ``order``; as for every
+    :class:`_Frozen` type, values are immutable, print as
+    ``PartialString(labels=..., order=...)``, match positionally on the
+    fields, and ``copy``, ``deepcopy`` and ``pickle`` rebuild them through
+    the constructor, so they return the interned object.
 
     The refinement search and normalization read private fields that the
     value fills on first use.  :func:`_fill` sets ``_sorted`` (the sorted
@@ -85,6 +139,10 @@ class PartialString:
 
     labels: tuple[Label, ...]
     order: tuple[int, ...]
+
+    # Interned, so identity is value equality, in O(1) where fields walk every row.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, labels: Iterable[Label], order: Iterable[int]) -> "PartialString":
         key = (tuple(labels), tuple(order))
@@ -112,18 +170,6 @@ class PartialString:
             if winner is not None:
                 return winner
             _remove_dead_weakref(_interned, key)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"PartialString is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"PartialString is immutable: cannot delete {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return PartialString, (self.labels, self.order)
-
-    def __repr__(self) -> str:
-        return f"PartialString(labels={self.labels!r}, order={self.order!r})"
 
     @property
     def n_events(self) -> int:
@@ -160,51 +206,6 @@ _set_slot = object.__setattr__
 
 def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_interned, ref.key)
-
-
-class _Frozen:
-    """Base of the immutable value types: slotted records compared by value.
-
-    A class's fields are its own ``__slots__`` after those of its
-    ``_Frozen`` bases, in the order of its ``__init__``'s parameters, and
-    that ``__init__`` sets them with ``_set_slot``; ``__match_args__``
-    lists them, so positional ``match`` patterns read them in that order.
-    Its values are equal when their types are the same and their fields
-    are equal, hash as the tuple of their fields, print as
-    ``Type(field=value, ...)``, and copy and pickle through
-    ``__reduce__``; setting or deleting an attribute raises
-    ``AttributeError``.
-    """
-
-    __slots__ = ()
-    __match_args__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__match_args__ + cls.__slots__
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DependenceRelation(_Frozen):

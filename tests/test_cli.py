@@ -447,6 +447,32 @@ def test_no_stdout_at_all_is_not_an_error():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_output_exits_74_and_unreadable_file_exits_2(tmp_path):
+    src = os.path.dirname(os.path.dirname(cka.cli.__file__))
+
+    def run(*argv, stdout=subprocess.DEVNULL):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "cka", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        return proc.returncode, proc.stderr
+
+    with open("/dev/full", "wb") as full:
+        assert run("lang", "a|b", stdout=full) == (
+            74, b"error: cannot write output: [Errno 28] No space left on device\n"
+        )
+    missing = tmp_path / "missing.txt"
+    assert run("dot", "--file", str(missing)) == (
+        2, f"error: [Errno 2] No such file or directory: {str(missing)!r}\n".encode()
+    )
+    assert run("dot", "--file", str(tmp_path)) == (
+        2, f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n".encode()
+    )
+
+
 def test_startup_imports_no_dataclass_machinery():
     # The import a CLI start pays for, in an isolated interpreter.
     src = os.path.dirname(os.path.dirname(cka.cli.__file__))

@@ -121,6 +121,19 @@ def test_partial_strings_cannot_be_changed():
     assert x.labels == ("a", "b") and x.order == (0b11, 0b10)
 
 
+def test_partial_strings_match_on_labels_and_order():
+    match chain("ab"):
+        case PartialString(labels=("a", "b"), order=(3, 2)):
+            pass
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match par(singleton("a"), singleton("b")):
+        case PartialString(labels, order):
+            assert (labels, order) == (("a", "b"), (1, 2))
+        case _:
+            pytest.fail("positional pattern did not match")
+
+
 def test_threads_building_equal_values_get_one_object_per_value():
     # Labels used nowhere else, so every value starts out absent.
     labels = ("thread-a", "thread-b")

@@ -12,6 +12,7 @@ from cka import (
     One,
     Par,
     ParStar,
+    PartialString,
     Program,
     Seq,
     SeqStar,
@@ -53,6 +54,9 @@ CASES = [
      []),
     ("Morphism(mapping=(1, 0))",
      lambda: ([Morphism((1, 0)), Morphism(mapping=(1, 0))], Morphism((0, 1))), []),
+    ("PartialString(labels=('a',), order=(1,))",
+     lambda: ([singleton("a"), PartialString(("a",), (1,)),
+               PartialString(labels=["a"], order=[1])], singleton("b")), []),
     ("Program(generators=(PartialString(labels=('a',), order=(1,)),))",
      lambda: ([Program((singleton("a"),)), Program(generators=(singleton("a"),))],
               Program(())), []),
