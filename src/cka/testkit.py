@@ -189,17 +189,45 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
 
 
 def random_partial_string(cfg: GenConfig) -> PartialString:
-    """One random partial string, fully determined by ``cfg`` (seed included)."""
+    """One random partial string, fully determined by ``cfg`` (seed included).
+
+    The seed pins the string on every supported Python: the draws read
+    only ``random()`` and ``getrandbits()``, through :func:`_below`.
+    """
     return _sample_string(random.Random(cfg.seed), cfg)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, in one frame instead of two or three.
+
+    This is the rejection loop on ``getrandbits(n.bit_length())`` that
+    CPython 3.10-3.13 runs under ``randrange``, ``choice`` and ``shuffle``,
+    so it returns the same int and leaves the same generator state.  The
+    seeded draws then read the generator's own outputs, not the algorithms
+    of those methods, which the ``random`` docs leave free to change.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    """``list(range(n))`` in the order ``rng.shuffle`` leaves it, draw for draw."""
+    perm = list(range(n))
+    for i in reversed(range(1, n)):
+        j = _below(rng, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def _sample_string(
     rng: random.Random, cfg: GenConfig, max_events: Optional[int] = None
 ) -> PartialString:
     cap = cfg.max_events if max_events is None else max_events
-    n = rng.randint(0, cap)
-    layout = list(range(n))
-    rng.shuffle(layout)
+    n = _below(rng, cap + 1)
+    layout = _shuffled(rng, n)
     draw, p = rng.random, cfg.edge_probability
     # Edges run from layout position a to each later b drawn; the layout is
     # then a topological order, so one backward sweep closes the rows.
@@ -210,8 +238,9 @@ def _sample_string(
         for b in succ[a]:
             row |= rows[layout[b]]
         rows[layout[a]] = row
-    choice, alphabet = rng.choice, cfg.alphabet
-    labels = tuple([choice(alphabet) for _ in range(n)])
+    alphabet = cfg.alphabet
+    k = len(alphabet)
+    labels = tuple([alphabet[_below(rng, k)] for _ in range(n)])
     return PartialString(labels, tuple(rows))
 
 
@@ -227,16 +256,17 @@ def _strengthened(rng: random.Random, x: PartialString) -> PartialString:
                 and not rows[j] >> i & 1
                 and rng.random() < 0.3
             ):
-                rows[i] |= 1 << j
-                rows = transitive_closure(rows)
+                # rows are closed and j is not below i, so adding i < j
+                # closes in one pass: every row reaching i takes j's row
+                up = rows[j]
+                rows = [r | up if r >> i & 1 else r for r in rows]
     return PartialString(x.labels, tuple(rows))
 
 
 def _permuted(rng: random.Random, x: PartialString) -> PartialString:
     """Isomorphic copy of ``x`` with event indices shuffled."""
     n = x.n_events
-    perm = list(range(n))
-    rng.shuffle(perm)
+    perm = _shuffled(rng, n)
     labels: list[Label] = [""] * n
     rows = [0] * n
     for i in range(n):
@@ -263,7 +293,7 @@ def _sample_program(
     max_generators: int = 3,
     max_events: int = 3,
 ) -> Program:
-    k = rng.randint(0, max_generators)
+    k = _below(rng, max_generators + 1)
     gens = tuple(_sample_string(rng, cfg, max_events) for _ in range(k))
     return normalize_program(Program(gens))
 
@@ -529,7 +559,7 @@ def _p_frames(rng, cfg):
 
 @_law("normalize-preserves-semantics", "program")
 def _norm(rng, cfg):
-    raw = Program(tuple(_sample_string(rng, cfg, 3) for _ in range(rng.randint(0, 4))))
+    raw = Program(tuple(_sample_string(rng, cfg, 3) for _ in range(_below(rng, 5))))
     norm = normalize_program(raw)
     if not equals(raw, norm):
         return False
@@ -554,7 +584,7 @@ def _sub_preorder(rng, cfg):
 @_law("star-chain-and-unfold", "program")
 def _star(rng, cfg):
     p = _sample_program(rng, cfg, max_generators=2, max_events=2)
-    op = rng.choice((seq, par))
+    op = (seq, par)[_below(rng, 2)]
     iterates = [star(p, op, n) for n in range(1, 5)]
     if not equals(iterates[0], one()):
         return False
@@ -672,6 +702,8 @@ def law_suite(
 
     Every law draws from its own generator seeded by ``cfg.seed`` and the
     law name, so reports are reproducible and insensitive to law order.
+    A seed pins the inputs on every supported Python, because the draws
+    read only ``random()`` and ``getrandbits()``, through :func:`_below`.
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")

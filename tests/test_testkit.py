@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from cka import (
     GenConfig,
     LAWS,
     PartialString,
+    Program,
     brute_force_refines,
     chain,
     enumerate_all,
     from_strict_pairs,
     isomorphic,
     law_suite,
+    normalize_program,
     par,
     random_partial_string,
     refines,
@@ -22,8 +25,10 @@ from cka import (
 )
 from cka.testkit import (
     Law,
+    _below,
     _brute_force_isomorphic,
     _permuted,
+    _sample_program,
     _sample_string,
     _strengthened,
 )
@@ -108,20 +113,78 @@ def _sample_string_as_first_written(rng, cfg, max_events=None):
     return PartialString(labels, tuple(transitive_closure(rows)))
 
 
+def _permuted_as_first_written(rng, x):
+    perm = list(range(x.n_events))
+    rng.shuffle(perm)
+    labels = [None] * x.n_events
+    for i, lab in enumerate(x.labels):
+        labels[perm[i]] = lab
+    return from_strict_pairs(labels, [(perm[i], perm[j]) for i, j in x.strict_pairs()])
+
+
+def _strengthened_as_first_written(rng, x):
+    """Closes the whole order again after each added pair."""
+    n = x.n_events
+    rows = list(x.order)
+    for i in range(n):
+        for j in range(n):
+            if (
+                i != j
+                and not rows[i] >> j & 1
+                and not rows[j] >> i & 1
+                and rng.random() < 0.3
+            ):
+                rows[i] |= 1 << j
+                rows = transitive_closure(rows)
+    return PartialString(x.labels, tuple(rows))
+
+
+def _sample_program_as_first_written(rng, cfg, max_generators, max_events):
+    k = rng.randint(0, max_generators)
+    gens = [_sample_string_as_first_written(rng, cfg, max_events) for _ in range(k)]
+    return normalize_program(Program(tuple(gens)))
+
+
+def test_below_is_randrange():
+    for n in range(1, 71):
+        fast, reference = random.Random(n), random.Random(n)
+        for _ in range(50):
+            assert _below(fast, n) == reference.randrange(n)
+        assert fast.getstate() == reference.getstate()
+
+
 def test_sampler_draws_the_stream_it_was_first_written_with():
-    for seed in range(60):
+    # seeds 0-299 cover every max_events 0-7 with every alphabet of 1-3 labels
+    for seed in range(300):
         cfg = GenConfig(
-            max_events=seed % 9,
+            max_events=seed % 8,
             alphabet=("a", "b", "c")[: 1 + seed % 3],
             edge_probability=seed % 11 / 10,
             seed=seed,
         )
         fast, reference = random.Random(seed), random.Random(seed)
-        for i in range(100):
+        for i in range(30):
             cap = None if i % 3 else i % 8
             x = _sample_string(fast, cfg, cap)
             assert x is _sample_string_as_first_written(reference, cfg, cap)
-        assert fast.random() == reference.random()
+            assert _permuted(fast, x) is _permuted_as_first_written(reference, x)
+            assert _strengthened(fast, x) is _strengthened_as_first_written(reference, x)
+            bounds = (i % 4, i % 5)
+            program = _sample_program(fast, cfg, *bounds)
+            assert program == _sample_program_as_first_written(reference, cfg, *bounds)
+        assert fast.getstate() == reference.getstate()
+
+
+def test_first_draws_of_fixed_seeds_are_pinned():
+    # The draws read only random() and getrandbits(), whose streams every
+    # supported Python keeps, so this digest holds on each of them.
+    digest = hashlib.sha256()
+    for seed in range(4):
+        rng = random.Random(seed)
+        cfg = GenConfig(max_events=5, alphabet=("a", "b", "c"), edge_probability=0.4, seed=seed)
+        for _ in range(250):
+            digest.update(f"{_sample_string(rng, cfg)!r}\n{_sample_program(rng, cfg)!r}\n".encode())
+    assert digest.hexdigest() == "39966562d7251b59239b40cec3b10cbc6298d91b34e148bc31eeee22d41614e7"
 
 
 def test_zero_edge_probability_gives_antichains():
