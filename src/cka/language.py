@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .partial_string import Label, PartialString, _fill
+from .partial_string import Label, PartialString, _down_masks
 from .program import Program
 
 Word = tuple[Label, ...]
@@ -53,7 +53,7 @@ class WordAutomaton:
         accept = []
         for gi, g in enumerate(generators):
             n = g.n_events
-            down = _fill(g)._down
+            down = _down_masks(g)
             # Events with equal label, strict down-set and strict up-set
             # are interchangeable: taking them in index order keeps every
             # word and leaves one item where there were many.

@@ -126,11 +126,13 @@ class PartialString(_Frozen):
 
     The refinement search and normalization read private fields that the
     value fills on first use.  :func:`_fill` sets ``_sorted`` (the sorted
-    labels), ``_pairs`` (the strict pair count) and ``_down`` (strict down
+    labels) and ``_pairs`` (the strict pair count), which every search and
+    normalization reads.  :func:`_down_masks` sets ``_down`` (strict down
     masks: bit ``i`` of ``_down[j]`` is set when ``i`` strictly precedes
-    ``j``); readers take the up side from ``order``.  :func:`_signature`
-    sets ``_sig`` and :func:`_cover_text` sets ``_text``.  ``_down``,
-    ``_sig`` and ``_text`` are ``None`` until set.
+    ``j``), which only a search that runs, a signature and a word automaton
+    read; readers take the up side from ``order``.  :func:`_signature`
+    sets ``_sig`` and :func:`_cover_text` sets ``_text``.  ``_pairs``,
+    ``_down``, ``_sig`` and ``_text`` are ``None`` until set.
     """
 
     __slots__ = (
@@ -154,6 +156,7 @@ class PartialString(_Frozen):
         x = object.__new__(cls)
         _set_slot(x, "labels", key[0])
         _set_slot(x, "order", key[1])
+        _set_slot(x, "_pairs", None)
         _set_slot(x, "_down", None)
         _set_slot(x, "_sig", None)
         _set_slot(x, "_text", None)
@@ -403,28 +406,39 @@ def weakseq(
 
 
 def _fill(x: PartialString) -> PartialString:
-    """``x``, with its sorted labels, strict pair count and strict down masks set.
+    """``x``, with its sorted labels and strict pair count set.
 
-    The first call walks ``x``'s strict pairs once and sets ``_sorted``
-    and ``_pairs``, then ``_down`` last: a value whose ``_down`` is set
-    has all three, whichever thread reads it.  Two threads may both fill
-    a value; either fill is the same.
+    The first call sets ``_sorted`` and then ``_pairs``, so a value whose
+    ``_pairs`` is set has both, whichever thread reads it.  Neither needs
+    a walk over the pairs: the count is the rows' bit counts less the
+    diagonal.  Two threads may both fill a value; either fill is the same.
     """
-    if x._down is None:
-        down, pairs = [0] * len(x.order), 0
-        # Bits walked inline, not with _bits: every searched value fills this.
+    if x._pairs is None:
+        _set_slot(x, "_sorted", tuple(sorted(x.labels)))
+        _set_slot(x, "_pairs", sum(map(int.bit_count, x.order)) - len(x.order))
+    return x
+
+
+def _down_masks(x: PartialString) -> tuple[int, ...]:
+    """``x``'s strict down masks, built by one walk over its strict pairs on first use.
+
+    Kept in ``x._down``: read only by a search that gets past its label and
+    pair-count tests, by :func:`_signature` and by ``WordAutomaton``.
+    """
+    down = x._down
+    if down is None:
+        masks = [0] * len(x.order)
+        # Bits walked inline, not with _bits: every searched value builds this.
         for i, row in enumerate(x.order):
             bit = 1 << i
             row ^= bit
-            pairs += row.bit_count()
             while row:
                 low = row & -row
-                down[low.bit_length() - 1] |= bit
+                masks[low.bit_length() - 1] |= bit
                 row ^= low
-        _set_slot(x, "_sorted", tuple(sorted(x.labels)))
-        _set_slot(x, "_pairs", pairs)
-        _set_slot(x, "_down", tuple(down))
-    return x
+        down = tuple(masks)
+        _set_slot(x, "_down", down)
+    return down
 
 
 def _signature(x: PartialString) -> int:
@@ -440,7 +454,7 @@ def _signature(x: PartialString) -> int:
         width, sig = (n**3).bit_length(), 0
         for v in sorted(
             (labels.index(lab) * n + d.bit_count()) * n + u.bit_count() - 1
-            for lab, d, u in zip(x.labels, x._down, x.order)
+            for lab, d, u in zip(x.labels, _down_masks(x), x.order)
         ):
             sig = sig << width | v
         _set_slot(x, "_sig", sig)
@@ -496,7 +510,8 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
     # up-set size on both sides.  An event is not placed while its options
     # are built, so its own bit in ``s_up`` picks no successor, and a placed
     # image's own bit in ``t_up`` is already in ``used``.
-    s_down, s_up, t_down, t_up = src._down, src.order, tgt._down, tgt.order
+    s_down, t_down = _down_masks(src), _down_masks(tgt)
+    s_up, t_up = src.order, tgt.order
 
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(t_down, t_up)]
     cand = []
@@ -542,10 +557,18 @@ def find_morphism(src: PartialString, tgt: PartialString) -> Optional[Morphism]:
 def refines(x: PartialString, y: PartialString) -> bool:
     """True when ``x`` carries at least ``y``'s ordering constraints.
 
-    Decided by searching for a morphism from ``y`` onto ``x``, unless the
-    two are equal, and so, being interned, one object.
+    When the two have equal label tuples and each order row of ``y`` lies
+    inside the same row of ``x``, the identity map is a witness and no
+    search runs; equal strings are the plainest case.  Otherwise decided
+    by searching for a morphism from ``y`` onto ``x``.  The shortcut lives
+    here, not in :func:`find_morphism`, whose witness is the first one its
+    visiting order reaches, identity or not.
     """
-    return x is y or find_morphism(y, x) is not None
+    if x.labels == y.labels:
+        rows = x.order
+        if all(map(int.__eq__, map(int.__or__, rows, y.order), rows)):
+            return True
+    return find_morphism(y, x) is not None
 
 
 def isomorphic(x: PartialString, y: PartialString) -> bool:

@@ -94,7 +94,10 @@ def _bijections(src: PartialString, tgt: PartialString) -> Iterator[list[int]]:
     """Every label-preserving bijection from ``src``'s events onto ``tgt``'s.
 
     Yields ``mapping`` lists with ``mapping[i]`` the image of event ``i``;
-    yields nothing when the label multisets differ.
+    yields nothing when the label multisets differ.  The order is that of
+    ``itertools.product`` over each label's ``permutations``, labels sorted,
+    the last label's varying fastest; nested loops yield it lazily, where
+    ``product`` would first store every permutation of every label.
     """
     gs = _label_groups(src.labels)
     gt = _label_groups(tgt.labels)
@@ -102,12 +105,23 @@ def _bijections(src: PartialString, tgt: PartialString) -> Iterator[list[int]]:
         len(gs[lab]) != len(gt.get(lab, ())) for lab in gs
     ):
         return
-    labs = sorted(gs)
-    for combo in itertools.product(*(itertools.permutations(gt[lab]) for lab in labs)):
-        mapping = [0] * src.n_events
-        for lab, images in zip(labs, combo):
-            for src_ev, tgt_ev in zip(gs[lab], images):
+    groups = [(gs[lab], gt[lab]) for lab in sorted(gs)]
+    mapping = [0] * src.n_events
+
+    def assign(k: int) -> Iterator[list[int]]:
+        events, images = groups[k]
+        last = k + 1 == len(groups)
+        for perm in itertools.permutations(images):
+            for src_ev, tgt_ev in zip(events, perm):
                 mapping[src_ev] = tgt_ev
+            if last:
+                yield mapping.copy()
+            else:
+                yield from assign(k + 1)
+
+    if groups:
+        yield from assign(0)
+    else:
         yield mapping
 
 

@@ -32,13 +32,14 @@ from cka import (
     validate,
     weakseq,
 )
-from cka.partial_string import _cover_text, _fill, _signature
+from cka.partial_string import _cover_text, _down_masks, _fill, _signature
 from cka.testkit import (
     GenConfig,
     _bijections,
     _permuted,
     _sample_dependence,
     _sample_string,
+    _strengthened,
     brute_force_refines,
     enumerate_all,
 )
@@ -497,6 +498,46 @@ def test_equal_values_are_decided_without_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_identity_shortcut_matches_oracle():
+    # Equal label tuples are where the identity map can be a witness.
+    corpus = enumerate_all(4, "ab")
+    pairs = [(x, y) for x in corpus for y in corpus if x.labels == y.labels]
+    rng = random.Random(37)
+    cfg = GenConfig(max_events=6, alphabet=("a", "b", "c"), edge_probability=0.3, seed=37)
+    for _ in range(100):
+        x = _sample_string(rng, cfg)
+        stronger = _strengthened(rng, x)
+        pairs += [(stronger, x), (x, stronger), (_permuted(rng, stronger), x)]
+    outcomes = [refines(x, y) for x, y in pairs]
+    assert outcomes == [brute_force_refines(x, y) for x, y in pairs]
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 300
+
+
+def test_strengthened_copy_refines_without_search(monkeypatch):
+    calls = []
+    original = cka.partial_string.find_morphism
+    monkeypatch.setattr(
+        cka.partial_string,
+        "find_morphism",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    rng = random.Random(41)
+    cfg = GenConfig(max_events=7, alphabet=("a", "b"), edge_probability=0.2, seed=41)
+    for _ in range(200):
+        x = _sample_string(rng, cfg)
+        assert refines(_strengthened(rng, x), x)
+    assert calls == []
+
+
+def test_find_morphism_witness_follows_the_search_not_the_identity():
+    # The identity map is a witness here, but refines answers that without
+    # a search, and the search's own visiting order reaches (2, 0, 1) first.
+    y, x = from_strict_pairs("aaa", [(1, 2)]), chain("aaa")
+    assert Morphism((0, 1, 2)).is_valid(y, x)
+    assert refines(x, y)
+    assert find_morphism(y, x).mapping == (2, 0, 1)
+
+
 def test_isomorphic_seq_associativity():
     x, y, z = chain(("a", "b")), singleton("c"), par(singleton("a"), singleton("d"))
     assert isomorphic(seq(seq(x, y), z), seq(x, seq(y, z)))
@@ -612,8 +653,10 @@ def test_shape_fields_match_definitions_from_order():
         lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]
         _fill(x)
         assert x._sorted == tuple(sorted(x.labels))
-        assert x._down == tuple(sum(lt[i][j] << i for i in range(n)) for j in range(n))
         assert x._pairs == sum(map(sum, lt))
+        down = tuple(sum(lt[i][j] << i for i in range(n)) for j in range(n))
+        assert _down_masks(x) == down
+        assert x._down is _down_masks(x)
     # Long chains with shuffled indices: the lowest successor is rarely the cover.
     corpus += [_permuted(rng, chain(rng.choices("abc", k=40))) for _ in range(5)]
     for x in corpus:
@@ -639,7 +682,7 @@ def test_text_hasse_and_dot_read_one_cover_walk():
 
 def test_order_queries_and_operators_fill_no_fields():
     def unset(v):
-        return (v._down, v._sig, v._text) == (None, None, None)
+        return (v._pairs, v._down, v._sig, v._text) == (None, None, None, None)
 
     x = from_strict_pairs(("covers0", "covers1", "covers2"), [(0, 1), (1, 2)])
     assert unset(x)

@@ -129,7 +129,8 @@ def _wrap(monkeypatch, name, before):
         return original(x)
 
     for module in (cka.partial_string, cka.program):
-        monkeypatch.setattr(module, name, wrapped)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrapped)
 
 
 def _count_validate(monkeypatch):
@@ -485,20 +486,41 @@ def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
 
 def test_star_fills_each_distinct_generator_once(monkeypatch):
     _kleene_chain.cache_clear()
-    fills = []
-    _wrap(monkeypatch, "_fill", lambda x: x._down is None and fills.append(x))
+    builds = []
+    _wrap(monkeypatch, "_down_masks", lambda x: x._down is None and builds.append(x))
     # Labels no other test uses, so every word but the empty one is fresh.
     a_or_b = program_of((singleton("fill-a"), singleton("fill-b")))
     words = star(a_or_b, seq, 7)
-    # Every generator met on the way is one of the 2**7 - 1 final words.
     assert len(words.generators) == 2**7 - 1
-    assert len(fills) == len(set(fills))
-    assert set(fills) | {empty()} == set(words.generators)
-    filled = len(fills)
+    # Down masks are built once per word, and only for the words that share
+    # their sorted labels with another word: the ones normalization compares.
+    # A word of one letter repeated is alone in its label group.
+    assert len(builds) == len(set(builds))
+    assert set(builds) == {w for w in words.generators if len(set(w.labels)) == 2}
+    built = len(builds)
     covers = _count_calls(monkeypatch, cka.partial_string, "hasse")
     program_to_text(words)
     assert covers == []
-    assert len(fills) == filled
+    assert len(builds) == built
+
+
+def test_normalize_builds_no_down_masks_for_lone_label_groups(monkeypatch):
+    # One nonempty string per sorted-label multiset, relabelled so that each
+    # is fresh.
+    picked = {}
+    for x in enumerate_all(3, "abc")[1:]:
+        picked.setdefault(tuple(sorted(x.labels)), x)
+    gens = [
+        PartialString(tuple("lone-" + lab for lab in x.labels), x.order)
+        for x in picked.values()
+    ]
+    assert len(gens) == 19 and all(g._down is None for g in gens)
+    calls = []
+    _wrap(monkeypatch, "_down_masks", calls.append)
+    out = normalize_program(Program(tuple(gens)))
+    assert set(out.generators) == set(gens)
+    assert calls == []
+    assert all(g._down is None and g._sig is None for g in gens)
 
 
 def test_dropped_chain_leaves_the_intern_table():

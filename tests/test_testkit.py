@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from cka import (
 from cka.testkit import (
     Law,
     _below,
+    _bijections,
     _brute_force_isomorphic,
     _permuted,
     _sample_program,
@@ -255,3 +258,43 @@ def test_law_suite_detects_injected_exchange_bug():
     failing = {r.name for r in report.results if r.failures > 0}
     assert failing == {"exchange"}
     assert "#law exchange fail" in report.to_text()
+
+
+def _bijections_by_product(src, tgt):
+    """The enumerator as written on ``itertools.product``: the order to keep."""
+    if sorted(src.labels) != sorted(tgt.labels):
+        return
+    gs, gt = {}, {}
+    for groups, labels in ((gs, src.labels), (gt, tgt.labels)):
+        for i, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(i)
+    labs = sorted(gs)
+    for combo in itertools.product(*(itertools.permutations(gt[lab]) for lab in labs)):
+        mapping = [0] * src.n_events
+        for lab, images in zip(labs, combo):
+            for src_ev, tgt_ev in zip(gs[lab], images):
+                mapping[src_ev] = tgt_ev
+        yield mapping
+
+
+def test_bijections_keep_the_product_order():
+    corpus = enumerate_all(3, "ab")
+    compared = 0
+    for x in corpus:
+        for y in corpus:
+            got = list(_bijections(x, y))
+            assert got == list(_bijections_by_product(x, y))
+            compared += bool(got)
+    assert compared > 100
+
+
+def test_first_bijection_of_a_large_label_class_stores_no_permutations():
+    antichain = PartialString(("a",) * 9, tuple(1 << i for i in range(9)))
+    tracemalloc.start()
+    try:
+        first = next(_bijections(antichain, antichain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == list(range(9))
+    assert peak < 1_000_000
