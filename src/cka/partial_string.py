@@ -129,8 +129,8 @@ class PartialString(_Frozen):
     labels) and ``_pairs`` (the strict pair count), which every search and
     normalization reads.  :func:`_down_masks` sets ``_down`` (strict down
     masks: bit ``i`` of ``_down[j]`` is set when ``i`` strictly precedes
-    ``j``), which only a search that runs, a signature and a word automaton
-    read; readers take the up side from ``order``.  :func:`_signature`
+    ``j``), which only a search that runs and a word automaton read;
+    readers take the up side from ``order``.  :func:`_signature`
     sets ``_sig`` and :func:`_cover_text` sets ``_text``.  ``_pairs``,
     ``_down``, ``_sig`` and ``_text`` are ``None`` until set.
     """
@@ -423,7 +423,7 @@ def _down_masks(x: PartialString) -> tuple[int, ...]:
     """``x``'s strict down masks, built by one walk over its strict pairs on first use.
 
     Kept in ``x._down``: read only by a search that gets past its label and
-    pair-count tests, by :func:`_signature` and by ``WordAutomaton``.
+    pair-count tests and by ``WordAutomaton``.
     """
     down = x._down
     if down is None:
@@ -442,19 +442,21 @@ def _down_masks(x: PartialString) -> tuple[int, ...]:
 
 
 def _signature(x: PartialString) -> int:
-    """The sorted per-event (label rank, |down|, |up|) ints, packed in one int.
+    """The sorted per-event (label rank, |strict up-set|) ints, packed in one int.
 
-    Computed on first call and kept in ``x._sig``: only normalization of
-    label groups of two or more and :func:`cka.testkit.enumerate_all`
-    read it.
+    An isomorphism invariant read from the order rows alone, so it builds
+    no down masks.  For a chain the pairs spell the word, so distinct
+    words never share one.  Computed on first call and kept in ``x._sig``:
+    only normalization of label groups of two or more and
+    :func:`cka.testkit.enumerate_all` read it.
     """
     sig = x._sig
     if sig is None:
         n, labels = len(x.labels), _fill(x)._sorted
-        width, sig = (n**3).bit_length(), 0
+        width, sig = (n * n).bit_length(), 0
         for v in sorted(
-            (labels.index(lab) * n + d.bit_count()) * n + u.bit_count() - 1
-            for lab, d, u in zip(x.labels, _down_masks(x), x.order)
+            labels.index(lab) * n + row.bit_count() - 1
+            for lab, row in zip(x.labels, x.order)
         ):
             sig = sig << width | v
         _set_slot(x, "_sig", sig)

@@ -63,7 +63,10 @@ def normalize_program(p: Program) -> Program:
     A refinement only adds strict order pairs and adds none exactly when
     it is an isomorphism, so an absorber has the same sorted labels and
     either fewer strict pairs or the same signature (fields of each
-    value, see :class:`~cka.partial_string.PartialString`).  The distinct
+    value, see :class:`~cka.partial_string.PartialString`).  The
+    signature is an isomorphism invariant read from the order rows, so
+    signing builds no down masks; strings that share one without being
+    isomorphic only cost a failed search.  The distinct
     generators are grouped by sorted labels; a group of one is kept as it
     is.  In a larger group one greedy pass visits them by pair count,
     then signature, and drops one that refines a kept generator with

@@ -176,8 +176,9 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
     Generates every DAG in identity-compatible topological order (which
     covers every poset up to isomorphism), closes it, keeps each distinct
     closed order once, labels it in all ways, and deduplicates by
-    signature bucket; within one, pair counts are equal, so one
-    :func:`refines` decides isomorphism.
+    bucket of sorted labels, pair count and signature; within one, pair
+    counts are equal, so one :func:`refines` decides isomorphism, and a
+    bucket may hold several non-isomorphic strings.
     """
     labs = tuple(alphabet)
     found: list[PartialString] = []

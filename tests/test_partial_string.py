@@ -610,13 +610,19 @@ def test_find_morphism_witness_follows_the_visiting_order():
 # --------------------------------------------------------------------- #
 
 
-def _triple_signature(x):
+def _signature_by_brute_force(x):
     # The signature's definition, read straight off the order rows.
     n = x.n_events
-    lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]
-    down = [sum(lt[j][i] for j in range(n)) for i in range(n)]
-    up = [sum(lt[i]) for i in range(n)]
-    return (tuple(sorted(x.labels)), sum(up), tuple(sorted(zip(x.labels, down, up))))
+    up = [sum(i != j and x.order[i] >> j & 1 for j in range(n)) for i in range(n)]
+    return (tuple(sorted(x.labels)), sum(up), tuple(sorted(zip(x.labels, up))))
+
+
+def test_signature_is_an_isomorphism_invariant():
+    rng = random.Random(37)
+    cfg = GenConfig(max_events=9, alphabet=("a", "b", "c"), edge_probability=0.3, seed=37)
+    corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(300)]
+    for x in corpus:
+        assert _signature(_permuted(rng, x)) == _signature(x)
 
 
 def _text_by_brute_force(x):
@@ -637,13 +643,21 @@ def test_shape_fields_match_definitions_from_order():
     cfg = GenConfig(max_events=9, alphabet=("a", "b", "c"), edge_probability=0.3, seed=29)
     corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(200)]
     corpus += [_permuted(rng, x) for x in corpus]
-    # Equal signatures exactly when the triple signatures are equal.
+    # Equal signatures exactly when the brute-force signatures are equal.
     pairs = {
-        ((_fill(x)._sorted, x._pairs, _signature(x)), _triple_signature(x))
+        ((_fill(x)._sorted, x._pairs, _signature(x)), _signature_by_brute_force(x))
         for x in corpus
     }
     assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
     assert len(pairs) > 300
+    # Signing reads the order rows alone: it builds no down masks.  Each
+    # nonempty string, relabelled, is fresh.
+    for x in corpus:
+        if x.labels:
+            fresh = PartialString(tuple("sign-" + lab for lab in x.labels), x.order)
+            assert fresh._down is None
+            assert _signature(fresh) == _signature(x)
+            assert fresh._down is None
     built = []
     for _ in range(300):
         x, y = rng.choice(corpus), rng.choice(corpus)

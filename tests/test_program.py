@@ -165,14 +165,15 @@ def test_normalize_generators_match_brute_force_oracle():
     cases = []
     for _ in range(200):
         cases.append([_sample_string(rng, cfg) for _ in range(rng.randint(0, 5))])
-    # Look-alikes: one label multiset and one pair count, so only the
-    # signature tells them apart.  The 4-event pair shares its signature
-    # without being isomorphic.
+    # Look-alikes: the words share a label multiset and a pair count, so
+    # only the signature tells them apart.  The twins share their
+    # signature without being isomorphic, so only a search does; the
+    # signature counts up-sets alone, so 90 of these 4-event strings do.
     words = [chain(w) for w in sorted(set(itertools.permutations("aabbc")))]
     corpus = enumerate_all(4, "ab")
     sigs = [(_fill(x)._sorted, x._pairs, _signature(x)) for x in corpus]
     twins = [x for x, sig in zip(corpus, sigs) if sigs.count(sig) > 1]
-    assert len(twins) == 2
+    assert len(twins) == 90
     for _ in range(10):
         cases.append(rng.sample(words, rng.randint(2, 10)))
         cases.append(twins + [_strengthened(rng, rng.choice(twins))])
@@ -486,22 +487,41 @@ def test_equals_on_equal_generators_makes_no_inclusion_test(monkeypatch):
 
 def test_star_fills_each_distinct_generator_once(monkeypatch):
     _kleene_chain.cache_clear()
-    builds = []
-    _wrap(monkeypatch, "_down_masks", lambda x: x._down is None and builds.append(x))
+    builds, signs = [], []
+    _wrap(monkeypatch, "_down_masks", builds.append)
+    _wrap(monkeypatch, "_signature", lambda x: x._sig is None and signs.append(x))
     # Labels no other test uses, so every word but the empty one is fresh.
     a_or_b = program_of((singleton("fill-a"), singleton("fill-b")))
     words = star(a_or_b, seq, 7)
     assert len(words.generators) == 2**7 - 1
-    # Down masks are built once per word, and only for the words that share
-    # their sorted labels with another word: the ones normalization compares.
-    # A word of one letter repeated is alone in its label group.
-    assert len(builds) == len(set(builds))
-    assert set(builds) == {w for w in words.generators if len(set(w.labels)) == 2}
-    built = len(builds)
+    # A word is signed once, and only when it shares its sorted labels with
+    # another word: the ones normalization compares.  A word of one letter
+    # repeated is alone in its label group.  Distinct words have distinct
+    # signatures, so no search runs and no down masks are built.
+    assert len(signs) == len(set(signs))
+    assert set(signs) == {w for w in words.generators if len(set(w.labels)) == 2}
+    assert builds == []
     covers = _count_calls(monkeypatch, cka.partial_string, "hasse")
     program_to_text(words)
     assert covers == []
-    assert len(builds) == built
+    assert builds == []
+
+
+def test_star_of_look_alike_ties_matches_brute_force(monkeypatch):
+    # Three strings of one a, b and c with one strict pair each: every
+    # product of two shares its sorted labels and pair count with the rest,
+    # and some share a signature without being isomorphic, so
+    # normalization searches between them.
+    _kleene_chain.cache_clear()
+    searches = _count_calls(monkeypatch, cka.partial_string, "find_morphism")
+    body = evaluate(parse_text("(a;b)|c+a|(b;c)+(a;c)|b"))
+    out = star(body, seq, 3).generators
+    assert len(searches) == 11
+    assert len(body.generators) == 3
+    raw = [empty(), *body.generators]
+    raw += [seq(g, h) for g in body.generators for h in body.generators]
+    assert len(out) == 13
+    assert out == _normal_form_by_brute_force(raw)
 
 
 def test_normalize_builds_no_down_masks_for_lone_label_groups(monkeypatch):
