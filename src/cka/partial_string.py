@@ -130,9 +130,10 @@ class PartialString(_Frozen):
     normalization reads.  :func:`_down_masks` sets ``_down`` (strict down
     masks: bit ``i`` of ``_down[j]`` is set when ``i`` strictly precedes
     ``j``), which only a search that runs and a word automaton read;
-    readers take the up side from ``order``.  :func:`_signature`
-    sets ``_sig`` and :func:`_cover_text` sets ``_text``.  ``_pairs``,
-    ``_down``, ``_sig`` and ``_text`` are ``None`` until set.
+    readers take the up side from ``order``.  :func:`_signature` sets
+    ``_sig``, which only normalization reads, and :func:`_cover_text`
+    sets ``_text``.  ``_pairs``, ``_down``, ``_sig`` and ``_text`` are
+    ``None`` until set.
     """
 
     __slots__ = (
@@ -442,18 +443,18 @@ def _down_masks(x: PartialString) -> tuple[int, ...]:
 
 
 def _signature(x: PartialString) -> int:
-    """The sorted per-event (label rank, |strict up-set|) ints, packed in one int.
+    """The pair count, then the sorted (label rank, |strict up-set|) ints, in one int.
 
     An isomorphism invariant read from the order rows alone, so it builds
     no down masks.  For a chain the pairs spell the word, so distinct
-    words never share one.  Computed on first call and kept in ``x._sig``:
-    only normalization of label groups of two or more and
-    :func:`cka.testkit.enumerate_all` read it.
+    words never share one.  Each packed int is below ``2**width``, so
+    among equal sorted labels it sorts as (pair count, packed ints) does.
+    Kept in ``x._sig``, ``_fill`` done: only normalization reads it.
     """
     sig = x._sig
     if sig is None:
         n, labels = len(x.labels), _fill(x)._sorted
-        width, sig = (n * n).bit_length(), 0
+        width, sig = (n * n).bit_length(), x._pairs
         for v in sorted(
             labels.index(lab) * n + row.bit_count() - 1
             for lab, row in zip(x.labels, x.order)

@@ -66,14 +66,14 @@ def normalize_program(p: Program) -> Program:
     value, see :class:`~cka.partial_string.PartialString`).  The
     signature is an isomorphism invariant read from the order rows, so
     signing builds no down masks; strings that share one without being
-    isomorphic only cost a failed search.  The distinct
-    generators are grouped by sorted labels; a group of one is kept as it
-    is.  In a larger group one greedy pass visits them by pair count,
-    then signature, and drops one that refines a kept generator with
-    fewer pairs.  One that refines a kept twin of the same signature
-    is isomorphic to it, and of the two the copy with the smaller
-    serialized text is kept, so the serialized-earliest copy survives
-    whatever the input order.
+    isomorphic only cost a failed search.  The distinct generators are
+    grouped by sorted labels; a group of one is kept as it is.  In a
+    larger group one greedy pass visits them by signature, which leads
+    with the pair count (signing sets both fields), and drops one that
+    refines a kept generator with fewer pairs.  One that refines a kept
+    twin of the same signature is isomorphic to it, and of the two the
+    copy with the smaller serialized text is kept, so the
+    serialized-earliest copy survives whatever the input order.
 
     Survivors come out ordered by event count, then label tuple, then
     serialized text, so the output is deterministic and equal to the
@@ -99,8 +99,7 @@ def normalize_program(p: Program) -> Program:
             continue
         start = len(kept)
         pairs = sig = None
-        for g in sorted(group, key=_absorption_order):
-            # The sort key filled g's pair count and signature.
+        for g in sorted(group, key=_signature):
             if g._pairs != pairs:
                 layer, pairs = len(kept), g._pairs  # kept[start:layer]: fewer pairs
             if g._sig != sig:
@@ -123,11 +122,6 @@ def normalize_program(p: Program) -> Program:
             )
     kept.sort(key=_output_order)
     return Program(tuple(kept))
-
-
-def _absorption_order(g: PartialString) -> tuple:
-    sig = _signature(g)  # fills g._pairs too
-    return g._pairs, sig
 
 
 def _output_order(g: PartialString) -> tuple:

@@ -22,9 +22,7 @@ from .partial_string import (
     PartialString,
     _Frozen,
     _bits,
-    _fill,
     _set_slot,
-    _signature,
     chain,
     empty,
     find_morphism,
@@ -176,9 +174,9 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
     Generates every DAG in identity-compatible topological order (which
     covers every poset up to isomorphism), closes it, keeps each distinct
     closed order once, labels it in all ways, and deduplicates by
-    bucket of sorted labels, pair count and signature; within one, pair
-    counts are equal, so one :func:`refines` decides isomorphism, and a
-    bucket may hold several non-isomorphic strings.
+    bucket of sorted (label, strict down-set size, strict up-set size)
+    triples; within one, pair counts are equal, so one :func:`refines`
+    decides isomorphism; a bucket may hold non-isomorphic strings.
     """
     labs = tuple(alphabet)
     found: list[PartialString] = []
@@ -193,9 +191,11 @@ def enumerate_all(max_events: int, alphabet: Iterable[Label]) -> list[PartialStr
                     rows[i] |= 1 << j
             orders[tuple(transitive_closure(rows))] = None
         for rows_t in orders:
+            downs = [sum(row >> e & 1 for row in rows_t) - 1 for e in range(n)]
+            ups = [row.bit_count() - 1 for row in rows_t]
             for labelling in itertools.product(labs, repeat=n):
                 ps = PartialString(labelling, rows_t)
-                key = (_fill(ps)._sorted, ps._pairs, _signature(ps))
+                key = tuple(sorted(zip(labelling, downs, ups)))
                 group = buckets.setdefault(key, [])
                 if not any(refines(ps, found[k]) for k in group):
                     group.append(len(found))

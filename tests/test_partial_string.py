@@ -625,6 +625,22 @@ def test_signature_is_an_isomorphism_invariant():
         assert _signature(_permuted(rng, x)) == _signature(x)
 
 
+def test_signature_sorts_a_label_group_by_pair_count():
+    # Normalization visits a label group in signature order and reads a
+    # new pair count as the start of a layer, so a lower signature never
+    # has more pairs.
+    rng = random.Random(41)
+    cfg = GenConfig(max_events=9, alphabet=("a", "b", "c"), edge_probability=0.3, seed=41)
+    corpus = enumerate_all(4, "ab") + [_sample_string(rng, cfg) for _ in range(300)]
+    groups = {}
+    for x in corpus:
+        groups.setdefault(_fill(x)._sorted, []).append(x)
+    assert sum(len(group) > 1 for group in groups.values()) > 40
+    for group in groups.values():
+        pairs = [x._pairs for x in sorted(group, key=_signature)]
+        assert pairs == sorted(pairs)
+
+
 def _text_by_brute_force(x):
     n = x.n_events
     lt = [[i != j and bool(x.order[i] >> j & 1) for j in range(n)] for i in range(n)]

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import cka.testkit
 from cka import (
     GenConfig,
     LAWS,
@@ -25,6 +26,7 @@ from cka import (
     transitive_closure,
     validate,
 )
+from cka.partial_string import _fill, _signature
 from cka.testkit import (
     Law,
     _below,
@@ -83,6 +85,45 @@ def test_enumerate_all_is_pairwise_non_isomorphic():
 def test_enumerate_all_outputs_validate():
     for x in enumerate_all(3, ("a", "b")):
         validate(x)
+
+
+def _enumerate_by_signature(max_events, alphabet):
+    # enumerate_all with normalization's key for its buckets: sorted
+    # labels, pair count and signature.
+    found, buckets = [], {}
+    for n in range(max_events + 1):
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        orders = {}
+        for bits in range(1 << len(slots)):
+            rows = [1 << i for i in range(n)]
+            for b, (i, j) in enumerate(slots):
+                if bits >> b & 1:
+                    rows[i] |= 1 << j
+            orders[tuple(transitive_closure(rows))] = None
+        for rows_t in orders:
+            for labelling in itertools.product(alphabet, repeat=n):
+                ps = PartialString(labelling, rows_t)
+                key = (_fill(ps)._sorted, ps._pairs, _signature(ps))
+                group = buckets.setdefault(key, [])
+                if not any(refines(ps, found[k]) for k in group):
+                    group.append(len(found))
+                    found.append(ps)
+    return found
+
+
+def test_enumerate_all_buckets_by_down_and_up_sizes(monkeypatch):
+    # Any bucket key that is an isomorphism invariant keeps the first
+    # string of each class in enumeration order; a finer key only spares
+    # failed searches.
+    assert enumerate_all(4, "abc") == _enumerate_by_signature(4, "abc")
+    searches = []
+    monkeypatch.setattr(
+        cka.testkit, "refines", lambda x, y: searches.append(x) or refines(x, y)
+    )
+    for args, count in (((4, "ab"), 479), ((4, "abc"), 2501)):
+        searches.clear()
+        enumerate_all(*args)
+        assert len(searches) == count
 
 
 def test_random_partial_string_is_seed_deterministic():
