@@ -7,149 +7,24 @@ union, composition and bounded Kleene stars; linearization into word
 languages; a term parser; and a brute-force-backed law suite.
 """
 
-from .expr import (
-    Expr,
-    ExprError,
-    LexicalError,
-    Par,
-    ParseError,
-    ParStar,
-    Seq,
-    SeqStar,
-    Sym,
-    Token,
-    Union,
-    Zero,
-    One,
-    evaluate,
-    parse,
-    parse_text,
-    pretty,
-    tokenize,
-)
-from .language import Word, lang_subset, language, linearize
-from .partial_string import (
-    DependenceRelation,
-    InvalidPartialString,
-    Label,
-    Morphism,
-    PartialString,
-    TextFormatError,
-    chain,
-    empty,
-    exchange_holds,
-    find_morphism,
-    from_strict_pairs,
-    from_text,
-    hasse,
-    isomorphic,
-    par,
-    refines,
-    seq,
-    singleton,
-    to_dot,
-    to_text,
-    transitive_closure,
-    validate,
-    weakseq,
-)
-from .program import (
-    Program,
-    contains,
-    equals,
-    normalize_program,
-    one,
-    pcompose,
-    program_from_text,
-    program_of,
-    program_to_text,
-    punion,
-    star,
-    subset,
-    zero,
-)
-from .testkit import (
-    GenConfig,
-    Law,
-    LawReport,
-    LawResult,
-    LAWS,
-    PROGRAM_ALGEBRA_LAW_NAMES,
-    brute_force_refines,
-    enumerate_all,
-    law_suite,
-    random_partial_string,
-)
+# Each module is bound under a private alias before the star imports:
+# the function ``language`` then takes over its module's name here.
+from . import partial_string as _partial_string
+from . import program as _program
+from . import language as _language
+from . import expr as _expr
+from . import testkit as _testkit
+from .partial_string import *
+from .program import *
+from .language import *
+from .expr import *
+from .testkit import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DependenceRelation",
-    "Expr",
-    "ExprError",
-    "GenConfig",
-    "InvalidPartialString",
-    "Label",
-    "Law",
-    "LawReport",
-    "LawResult",
-    "LAWS",
-    "LexicalError",
-    "Morphism",
-    "One",
-    "Par",
-    "ParseError",
-    "ParStar",
-    "PartialString",
-    "Program",
-    "Seq",
-    "SeqStar",
-    "Sym",
-    "TextFormatError",
-    "PROGRAM_ALGEBRA_LAW_NAMES",
-    "Token",
-    "Union",
-    "Word",
-    "Zero",
-    "brute_force_refines",
-    "chain",
-    "contains",
-    "empty",
-    "enumerate_all",
-    "equals",
-    "evaluate",
-    "exchange_holds",
-    "find_morphism",
-    "from_strict_pairs",
-    "from_text",
-    "hasse",
-    "isomorphic",
-    "lang_subset",
-    "language",
-    "law_suite",
-    "linearize",
-    "normalize_program",
-    "one",
-    "par",
-    "parse",
-    "parse_text",
-    "pcompose",
-    "pretty",
-    "program_from_text",
-    "program_of",
-    "program_to_text",
-    "punion",
-    "random_partial_string",
-    "refines",
-    "seq",
-    "singleton",
-    "star",
-    "subset",
-    "to_dot",
-    "to_text",
-    "tokenize",
-    "transitive_closure",
-    "validate",
-    "weakseq",
-    "zero",
-]
+__all__: list[str] = []
+__all__ += _partial_string.__all__
+__all__ += _program.__all__
+__all__ += _language.__all__
+__all__ += _expr.__all__
+__all__ += _testkit.__all__

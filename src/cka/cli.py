@@ -194,12 +194,7 @@ def cmd_star(args, compose) -> int:
 
 
 def cmd_laws(args, _compose) -> int:
-    cfg = GenConfig(
-        max_events=args.max_events,
-        alphabet=("a", "b"),
-        edge_probability=0.4,
-        seed=args.seed,
-    )
+    cfg = GenConfig(max_events=args.max_events, seed=args.seed)
     report = law_suite(cfg, cases=args.cases)
     print(report.to_text())
     return 0 if report.ok else 1

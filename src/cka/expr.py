@@ -30,6 +30,27 @@ the three bytes of its ``surrogatepass`` encoding.
 
 from __future__ import annotations
 
+__all__ = [
+    "Expr",
+    "ExprError",
+    "LexicalError",
+    "One",
+    "Par",
+    "ParStar",
+    "ParseError",
+    "Seq",
+    "SeqStar",
+    "Sym",
+    "Token",
+    "Union",
+    "Zero",
+    "evaluate",
+    "parse",
+    "parse_text",
+    "pretty",
+    "tokenize",
+]
+
 import re
 
 from .partial_string import _Frozen, _set_slot, par, seq, singleton

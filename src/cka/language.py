@@ -18,6 +18,8 @@ labels in sorted order yields the words in sorted order.
 
 from __future__ import annotations
 
+__all__ = ["Word", "lang_subset", "language", "linearize"]
+
 from typing import Iterator, Sequence
 
 from .partial_string import Label, PartialString, _down_masks

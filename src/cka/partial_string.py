@@ -25,6 +25,32 @@ value lives; private slots hold derived facts, not fields.
 
 from __future__ import annotations
 
+__all__ = [
+    "DependenceRelation",
+    "InvalidPartialString",
+    "Label",
+    "Morphism",
+    "PartialString",
+    "TextFormatError",
+    "chain",
+    "empty",
+    "exchange_holds",
+    "find_morphism",
+    "from_strict_pairs",
+    "from_text",
+    "hasse",
+    "isomorphic",
+    "par",
+    "refines",
+    "seq",
+    "singleton",
+    "to_dot",
+    "to_text",
+    "transitive_closure",
+    "validate",
+    "weakseq",
+]
+
 import weakref
 from _weakref import _remove_dead_weakref  # as weakref.WeakValueDictionary uses
 from typing import Iterable, Iterator, Optional, Sequence
@@ -642,9 +668,10 @@ def from_text(text: str) -> PartialString:
     """Parse the line-based text format.
 
     The first non-blank line is ``events: l0 l1 ...``; each further line
-    is ``order: i < j`` with one strict pair.  The reflexive-transitive
-    closure is computed on load, and loading fails on a pair ``i < i`` or
-    if the closure breaks antisymmetry.
+    is ``order: i < j`` with one strict pair, its indices written in ASCII
+    decimal digits.  The reflexive-transitive closure is computed on load,
+    and loading fails on a pair ``i < i`` or if the closure breaks
+    antisymmetry.
     """
     labels: Optional[tuple[Label, ...]] = None
     pairs: list[tuple[int, int]] = []
@@ -657,15 +684,12 @@ def from_text(text: str) -> PartialString:
                 raise TextFormatError("first line must start with 'events:'")
             labels = tuple(line[len("events:"):].split())
         elif line.startswith("order:"):
-            left, sep, right = line[len("order:"):].partition("<")
-            try:
-                if not sep:
-                    raise ValueError
-                pairs.append((int(left), int(right)))
-            except ValueError:
+            ends = [end.strip() for end in line[len("order:"):].split("<")]
+            if len(ends) != 2 or not all(e.isdigit() and e.isascii() for e in ends):
                 raise TextFormatError(
                     f"malformed order line {line!r}; expected 'order: i < j'"
-                ) from None
+                )
+            pairs.append((int(ends[0]), int(ends[1])))
         else:
             raise TextFormatError(f"unrecognized line {line!r}")
     if labels is None:

@@ -9,6 +9,22 @@ some generator.
 
 from __future__ import annotations
 
+__all__ = [
+    "Program",
+    "contains",
+    "equals",
+    "normalize_program",
+    "one",
+    "pcompose",
+    "program_from_text",
+    "program_of",
+    "program_to_text",
+    "punion",
+    "star",
+    "subset",
+    "zero",
+]
+
 import functools
 from collections import Counter
 from typing import Callable, Iterable

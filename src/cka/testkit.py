@@ -10,6 +10,19 @@ pass/fail line per law.
 
 from __future__ import annotations
 
+__all__ = [
+    "GenConfig",
+    "LAWS",
+    "Law",
+    "LawReport",
+    "LawResult",
+    "PROGRAM_ALGEBRA_LAW_NAMES",
+    "brute_force_refines",
+    "enumerate_all",
+    "law_suite",
+    "random_partial_string",
+]
+
 import itertools
 import math
 import random

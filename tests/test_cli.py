@@ -233,6 +233,15 @@ def test_dot_file_with_order_but_no_events_is_input_error(tmp_path, capsys):
     assert err == "error: order pair (0, 1) outside events: the string has no events\n"
 
 
+@pytest.mark.parametrize("pair", ["\u0661 < 0", "\uff10 < 1", "1_0 < 1", "-1 < 0"])
+def test_dot_file_with_non_decimal_index_is_input_error(tmp_path, capsys, pair):
+    path = tmp_path / "pair.txt"
+    path.write_text(f"events: a b\norder: {pair}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "dot", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed order line")
+
+
 def test_dot_file_failure_is_input_error(tmp_path, capsys):
     path = tmp_path / "cycle.txt"
     path.write_text("events: a b\norder: 0 < 1\norder: 1 < 0\n", encoding="utf-8")

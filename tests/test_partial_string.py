@@ -797,6 +797,17 @@ def test_from_text_rejects_garbage():
         from_text("events: a b\norder: 0 1\n")
 
 
+@pytest.mark.parametrize("pair", ["\u0661 < 0", "\uff10 < 1", "1_0 < 1", "-1 < 0", "+1 < 0"])
+def test_from_text_reads_indices_as_ascii_decimal_digits(pair):
+    with pytest.raises(TextFormatError, match="malformed order line"):
+        from_text(f"events: a b\norder: {pair}\n")
+
+
+@pytest.mark.parametrize("pair", ["  0  <  1 ", "0<1"])
+def test_from_text_allows_space_around_indices(pair):
+    assert from_text(f"events: a b\norder:{pair}\n") is chain("ab")
+
+
 def test_to_dot_n_shape():
     assert to_dot(n4()) == (
         "digraph pomset {\n"
