@@ -13,6 +13,10 @@ composition that ``;`` means.  ``main`` reads it once, before the
 subcommand runs, so a malformed spec exits 2 even where no term reads
 it, and the stars of one body in one invocation share one Kleene chain.
 
+Each subcommand's arguments are declared once, in ``_declare``.  An
+invocation builds only its subcommand's parser, and the full parser only
+for top-level help and errors.
+
 Two pre-built four-event partial strings are available as complete
 operands: ``P4``, two independent two-chains with labels a,b each, and
 ``N4``, the same events with one extra cross ordering.  The pair
@@ -200,78 +204,103 @@ def cmd_laws(args, _compose) -> int:
     return 0 if report.ok else 1
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cka",
-        description="Pomset model of Concurrent Kleene Algebra: refinement, "
-        "program algebra, languages and algebraic law checking.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# Each subcommand: the function that runs it and its line in the top-level help.
+_COMMANDS = {
+    "refines": (cmd_refines, "does the left program refine the right one"),
+    "equal": (cmd_equal, "semantic program equality"),
+    "member": (cmd_member, "is a partial string in a program's closure"),
+    "lang": (cmd_lang, "list the words of a program's language"),
+    "dot": (cmd_dot, "emit the cover relation as a DOT digraph"),
+    "star": (cmd_star, "bounded Kleene iterate of a program"),
+    "laws": (cmd_laws, "run the algebraic law suite"),
+}
 
-    p = sub.add_parser("refines", help="does the left program refine the right one")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument(
-        "--pomset",
-        action="store_true",
-        help="compare single partial strings and print the witness mapping",
-    )
-    p.set_defaults(fn=cmd_refines)
 
-    p = sub.add_parser("equal", help="semantic program equality")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_equal)
-
-    p = sub.add_parser("member", help="is a partial string in a program's closure")
-    p.add_argument("element", nargs="?", help="single-generator expression")
-    p.add_argument("program")
-    p.add_argument("--file", help="read the element from a text-format file")
-    p.set_defaults(fn=cmd_member)
-
-    p = sub.add_parser("lang", help="list the words of a program's language")
-    p.add_argument("expr")
-    p.add_argument("--max-display", type=int, metavar="N", help="show at most N words")
-    p.set_defaults(fn=cmd_lang)
-
-    p = sub.add_parser("dot", help="emit the cover relation as a DOT digraph")
-    p.add_argument("expr", nargs="?", help="single-generator expression")
-    p.add_argument("--file", help="read a partial string from a text-format file")
-    p.set_defaults(fn=cmd_dot)
-
-    p = sub.add_parser("star", help="bounded Kleene iterate of a program")
-    p.add_argument("expr")
-    p.add_argument("bound", type=int)
-    p.add_argument(
-        "--op",
-        choices=("seq", "par"),
-        default="seq",
-        help="iterate with strong ';' or with '|'; --weak-dep does not change "
-        "the op, so write a weak star as the term seqstar(E,n)",
-    )
-    p.set_defaults(fn=cmd_star)
-
-    # Every subcommand so far reads terms; the option goes last in each --help.
-    for p in sub.choices.values():
+def _declare(p: argparse.ArgumentParser, name: str) -> None:
+    """Add subcommand ``name``'s arguments to ``p``, for either parser."""
+    if name in ("refines", "equal"):
+        p.add_argument("left")
+        p.add_argument("right")
+    if name == "refines":
+        p.add_argument(
+            "--pomset",
+            action="store_true",
+            help="compare single partial strings and print the witness mapping",
+        )
+    elif name == "member":
+        p.add_argument("element", nargs="?", help="single-generator expression")
+        p.add_argument("program")
+        p.add_argument("--file", help="read the element from a text-format file")
+    elif name == "lang":
+        p.add_argument("expr")
+        p.add_argument(
+            "--max-display", type=int, metavar="N", help="show at most N words"
+        )
+    elif name == "dot":
+        p.add_argument("expr", nargs="?", help="single-generator expression")
+        p.add_argument("--file", help="read a partial string from a text-format file")
+    elif name == "star":
+        p.add_argument("expr")
+        p.add_argument("bound", type=int)
+        p.add_argument(
+            "--op",
+            choices=("seq", "par"),
+            default="seq",
+            help="iterate with strong ';' or with '|'; --weak-dep does not change "
+            "the op, so write a weak star as the term seqstar(E,n)",
+        )
+    elif name == "laws":
+        p.add_argument("--cases", type=int, default=100)
+        p.add_argument("--max-events", type=int, default=3)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    if name != "laws":  # every term-reading subcommand; last in its --help
         p.add_argument(
             "--weak-dep",
             metavar="SPEC",
             help="interpret ';' as weak sequencing under a dependence relation: "
             "'full', 'empty', or comma-separated label:label pairs",
         )
+    p.set_defaults(fn=_COMMANDS[name][0])
 
-    p = sub.add_parser("laws", help="run the algebraic law suite")
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-events", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=cmd_laws)
 
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand under ``cka``."""
+    ap = argparse.ArgumentParser(
+        prog="cka",
+        description="Pomset model of Concurrent Kleene Algebra: refinement, "
+        "program algebra, languages and algebraic law checking.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, summary) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=summary), name)
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone, as the full parser's ``cka <name>``."""
+    p = argparse.ArgumentParser(prog=f"cka {name}")
+    _declare(p, name)
+    return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one invocation, as ``build_parser().parse_args`` reads them.
+
+    A valid ``cka <name> ...`` needs only that subcommand's parser.  Anything
+    else (top-level help, an unknown name, arguments the subcommand leaves
+    over) goes to the full parser, which reports it.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         status = args.fn(args, _seq_compose(getattr(args, "weak_dep", None)))
         print(end="", flush=True)  # a reader that left after the last line fails here

@@ -24,7 +24,7 @@ from cka import (
     to_dot,
     weakseq,
 )
-from cka.cli import example_strings, main
+from cka.cli import build_parser, example_strings, main
 from cka.language import WordAutomaton
 from cka.program import _kleene_chain
 from cka.testkit import Law
@@ -364,6 +364,66 @@ def test_laws_does_not_offer_weak_dep(capsys):
         main(["laws", "--weak-dep", "a:b"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --weak-dep a:b" in capsys.readouterr().err
+
+
+def test_a_valid_query_builds_only_its_subcommands_parser(capsys):
+    valid = [
+        ["refines", "a", "a"],
+        ["equal", "a", "a"],
+        ["member", "a", "a"],
+        ["lang", "a"],
+        ["dot", "a"],
+        ["star", "a", "1"],
+        ["laws", "--cases", "1"],
+    ]
+    build_parser.cache_clear()
+    for argv in valid:
+        assert main(argv) == 0, argv
+    assert build_parser.cache_info().currsize == 0
+    # Leftover arguments and top-level help are the full parser's to report.
+    for argv in (["lang", "a", "b"], ["--help"]):
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert build_parser.cache_info().currsize == 1, argv
+    capsys.readouterr()
+
+
+_SUBCOMMANDS = ("refines", "equal", "member", "lang", "dot", "star", "laws")
+_ARGV_SHAPES = [[name, "--help"] for name in _SUBCOMMANDS] + [
+    [],
+    ["bogus"],
+    ["--", "lang", "a"],
+    ["lang"],
+    ["lang", "a", "b"],
+    ["lang", "a", "--bogus"],
+    ["lang", "--max-display", "x", "a"],
+    ["star", "a+b", "x"],
+    ["star", "a+b", "3", "--op", "foo"],
+    ["laws", "--weak-dep", "a:b"],
+    ["lang", "a|b", "--max-d", "1"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "60"])
+@pytest.mark.parametrize("argv", _ARGV_SHAPES, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, argv, columns):
+    # main against its route through the full parser alone, on this Python.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fast = outcome()
+    monkeypatch.setattr(cka.cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert fast == outcome()
 
 
 def test_weak_dep_bad_spec(tmp_path, capsys):
