@@ -389,16 +389,29 @@ def par(x: PartialString, y: PartialString) -> PartialString:
 
     ``y``'s events are renumbered up by ``x.n_events``; the refinement
     and isomorphism predicates never observe event identity, so dense
-    renumbering replaces tagged coproduct pairs.
+    renumbering replaces tagged coproduct pairs.  The empty string is a
+    unit: composing with it returns the other operand itself.
     """
-    nx = x.n_events
+    nx, ny = len(x.labels), len(y.labels)
+    if not ny:
+        return x
+    if not nx:
+        return y
     rows = list(x.order) + [row << nx for row in y.order]
     return PartialString(x.labels + y.labels, tuple(rows))
 
 
 def seq(x: PartialString, y: PartialString) -> PartialString:
-    """Strongly sequential composition: all of ``x`` before all of ``y``."""
-    nx, ny = x.n_events, y.n_events
+    """Strongly sequential composition: all of ``x`` before all of ``y``.
+
+    The empty string is a unit: composing with it returns the other
+    operand itself.
+    """
+    nx, ny = len(x.labels), len(y.labels)
+    if not ny:
+        return x
+    if not nx:
+        return y
     y_block = ((1 << ny) - 1) << nx
     rows = [row | y_block for row in x.order] + [row << nx for row in y.order]
     return PartialString(x.labels + y.labels, tuple(rows))

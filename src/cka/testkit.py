@@ -220,7 +220,8 @@ def random_partial_string(cfg: GenConfig) -> PartialString:
     """One random partial string, fully determined by ``cfg`` (seed included).
 
     The seed pins the string on every supported Python: the draws read
-    only ``random()`` and ``getrandbits()``, through :func:`_below`.
+    only ``random()`` and ``getrandbits()``, and every bounded draw is the
+    rejection loop :func:`_below` documents, run inline where it is hot.
     """
     return _sample_string(random.Random(cfg.seed), cfg)
 
@@ -233,6 +234,10 @@ def _below(rng: random.Random, n: int) -> int:
     so it returns the same int and leaves the same generator state.  The
     seeded draws then read the generator's own outputs, not the algorithms
     of those methods, which the ``random`` docs leave free to change.
+
+    Single draws call it.  :func:`_shuffled` and :func:`_sample_string`
+    run the same loop inline, with no call per draw; they must draw
+    exactly as it does.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -242,10 +247,17 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _shuffled(rng: random.Random, n: int) -> list[int]:
-    """``list(range(n))`` in the order ``rng.shuffle`` leaves it, draw for draw."""
+    """``list(range(n))`` in the order ``rng.shuffle`` leaves it, draw for draw.
+
+    Each swap index is drawn by :func:`_below`'s rejection loop, run inline.
+    """
     perm = list(range(n))
+    getrandbits = rng.getrandbits
     for i in reversed(range(1, n)):
-        j = _below(rng, i + 1)
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 
@@ -255,7 +267,7 @@ def _sample_string(
 ) -> PartialString:
     cap = cfg.max_events if max_events is None else max_events
     n = _below(rng, cap + 1)
-    layout = _shuffled(rng, n)
+    layout = _shuffled(rng, n) if n > 1 else list(range(n))
     draw, p = rng.random, cfg.edge_probability
     # Edges run from layout position a to each later b drawn; the layout is
     # then a topological order, so one backward sweep closes the rows.
@@ -266,10 +278,18 @@ def _sample_string(
         for b in succ[a]:
             row |= rows[layout[b]]
         rows[layout[a]] = row
+    # Each label index is drawn by _below's rejection loop, run inline.
     alphabet = cfg.alphabet
     k = len(alphabet)
-    labels = tuple([alphabet[_below(rng, k)] for _ in range(n)])
-    return PartialString(labels, tuple(rows))
+    bits = k.bit_length()
+    getrandbits = rng.getrandbits
+    labels = []
+    for _ in range(n):
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        labels.append(alphabet[r])
+    return PartialString(tuple(labels), tuple(rows))
 
 
 def _strengthened(rng: random.Random, x: PartialString) -> PartialString:
@@ -731,7 +751,9 @@ def law_suite(
     Every law draws from its own generator seeded by ``cfg.seed`` and the
     law name, so reports are reproducible and insensitive to law order.
     A seed pins the inputs on every supported Python, because the draws
-    read only ``random()`` and ``getrandbits()``, through :func:`_below`.
+    read only ``random()`` and ``getrandbits()``, and every bounded draw
+    is the rejection loop :func:`_below` documents, run inline where it
+    is hot.
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")

@@ -255,6 +255,19 @@ def test_identity_laws():
         assert isomorphic(op(empty(), x), x)
 
 
+def test_the_empty_string_is_a_unit_by_identity():
+    # seq and par return the other operand itself; weakseq closes its rows
+    # and returns that same object through interning
+    full, none = DependenceRelation.full("ab"), DependenceRelation.none()
+    for x in enumerate_all(3, "ab"):
+        for op in (seq, par):
+            assert op(x, empty()) is x
+            assert op(empty(), x) is x
+        for d in (full, none):
+            assert weakseq(x, empty(), d) is x
+            assert weakseq(empty(), x, d) is x
+
+
 def test_par_commutative_small_random():
     rng = random.Random(5)
     cfg = GenConfig(max_events=4, alphabet=("a", "b"), edge_probability=0.4, seed=5)

@@ -219,6 +219,28 @@ def test_sampler_draws_the_stream_it_was_first_written_with():
         assert fast.getstate() == reference.getstate()
 
 
+def test_sampler_stream_holds_for_wide_alphabets_and_caps():
+    # alphabets of 1-7 labels and caps 0-15 reach draws of 1-5 bits
+    for size in range(1, 8):
+        for cap in range(16):
+            seed = 16 * size + cap
+            cfg = GenConfig(
+                max_events=cap,
+                alphabet=tuple("abcdefg"[:size]),
+                edge_probability=seed % 11 / 10,
+                seed=seed,
+            )
+            fast, reference = random.Random(seed), random.Random(seed)
+            for i in range(4):
+                x = _sample_string(fast, cfg)
+                assert x is _sample_string_as_first_written(reference, cfg)
+                assert _permuted(fast, x) is _permuted_as_first_written(reference, x)
+                bounds = (i, cap)
+                program = _sample_program(fast, cfg, *bounds)
+                assert program == _sample_program_as_first_written(reference, cfg, *bounds)
+            assert fast.getstate() == reference.getstate()
+
+
 def test_first_draws_of_fixed_seeds_are_pinned():
     # The draws read only random() and getrandbits(), whose streams every
     # supported Python keeps, so this digest holds on each of them.
