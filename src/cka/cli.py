@@ -34,7 +34,7 @@ import sys
 import time
 from typing import Optional
 
-from .expr import evaluate, parse, tokenize
+from .expr import LexicalError, evaluate, parse, tokenize
 from .language import WordAutomaton
 from .partial_string import (
     DependenceRelation,
@@ -85,12 +85,16 @@ def _seq_compose(weak_dep: Optional[str]):
         return par
     pairs = []
     for item in spec.split(","):
-        a, sep, b = item.partition(":")
-        if not sep or not a.strip() or not b.strip():
+        # Each side must scan as one term label: one IDENT, then EOF.
+        try:
+            sides = [tokenize(side) for side in item.split(":")]
+        except LexicalError:
+            sides = []
+        if [[t.kind for t in toks] for toks in sides] != [["IDENT", "EOF"]] * 2:
             raise ValueError(
                 f"bad dependence item {item!r}; use label:label, 'full' or 'empty'"
             )
-        pairs.append((a.strip(), b.strip()))
+        pairs.append((sides[0][0].text, sides[1][0].text))
     return functools.partial(weakseq, dependence=DependenceRelation.of(pairs))
 
 
@@ -191,9 +195,7 @@ def cmd_dot(args, compose) -> int:
 def cmd_star(args, compose) -> int:
     op = par if args.op == "par" else seq
     result = star(_eval_operand(args.expr, compose), op, args.bound)
-    text = program_to_text(result)
-    if text:
-        print(text)
+    print(program_to_text(result))
     return 0
 
 

@@ -427,9 +427,11 @@ def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, argv, columns)
 
 
 def test_weak_dep_bad_spec(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "equal", "a;b", "a;b", "--weak-dep", "nonsense")
-    assert code == 2
-    assert "bad dependence item" in err
+    # Each side of an item must be exactly one term label.
+    for spec in ("nonsense", "a:b:c", "a b:c", "a:1", "(a):b"):
+        code, _, err = run_cli(capsys, "equal", "a;b", "a|b", "--weak-dep", spec)
+        assert code == 2, spec
+        assert "bad dependence item" in err
     path = tmp_path / "a.txt"
     path.write_text("events: a\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "dot", "--file", str(path), "--weak-dep", "nonsense")
