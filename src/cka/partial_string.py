@@ -88,24 +88,32 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
 class _Frozen:
     """Base of the immutable value types: slotted records compared by value.
 
-    A class's fields are its own public ``__slots__`` (those without a
-    leading underscore) after those of its ``_Frozen`` bases, in the order
-    of its constructor's parameters, and the constructor sets them with
-    ``_set_slot``; ``__match_args__`` lists them, so positional ``match``
-    patterns read them in that order.  Private slots hold facts derived
-    from the fields and are not fields.  Its values are equal when their
-    types are the same and their fields are equal, hash as the tuple of
-    their fields, print as ``Type(field=value, ...)``, and copy and pickle
-    through ``__reduce__``; setting or deleting an attribute raises
-    ``AttributeError``.  :class:`PartialString` is interned, so it keeps
-    the rest but compares and hashes by identity.
+    A class's fields are its own public ``__slots__`` (no leading
+    underscore) after those of its ``_Frozen`` bases, in the order that
+    ``__match_args__`` and positional ``match`` follow; private slots hold
+    derived facts.  For a class that adds fields and defines no ``__init__``
+    or ``__new__``, this base compiles a constructor once, as
+    ``collections.namedtuple`` does: it takes the fields in that order, as a
+    hand-written one must, and sets each with ``_set_slot``.  Values are
+    equal when their types and fields are equal, hash as the tuple of their
+    fields, print as ``Type(field=value, ...)``, and copy and pickle through
+    ``__reduce__``; setting or deleting an attribute raises
+    ``AttributeError``.  :class:`PartialString` compares by identity.
     """
 
     __slots__ = ()
     __match_args__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ += tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        own = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls.__match_args__ += own
+        if own and "__init__" not in vars(cls) and "__new__" not in vars(cls):
+            fields = cls.__match_args__
+            sets = "".join(f"\n _set_slot(self, {n!r}, {n})" for n in fields)
+            namespace = {"_set_slot": object.__setattr__, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{sets}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -249,9 +257,6 @@ class DependenceRelation(_Frozen):
     __slots__ = ("pairs",)
     pairs: frozenset[tuple[Label, Label]]
 
-    def __init__(self, pairs: frozenset[tuple[Label, Label]]) -> None:
-        _set_slot(self, "pairs", pairs)
-
     @classmethod
     def of(cls, pairs: Iterable[tuple[Label, Label]]) -> "DependenceRelation":
         return cls(frozenset((a, b) for a, b in pairs))
@@ -279,9 +284,6 @@ class Morphism(_Frozen):
 
     __slots__ = ("mapping",)
     mapping: tuple[int, ...]
-
-    def __init__(self, mapping: tuple[int, ...]) -> None:
-        _set_slot(self, "mapping", mapping)
 
     def is_valid(self, src: PartialString, tgt: PartialString) -> bool:
         """Re-check bijectivity, label preservation and monotonicity."""

@@ -34,7 +34,6 @@ from .partial_string import (
     _Frozen,
     _cover_text,
     _fill,
-    _set_slot,
     _signature,
     empty,
     from_text,
@@ -58,9 +57,6 @@ class Program(_Frozen):
 
     __slots__ = ("generators",)
     generators: tuple[PartialString, ...]
-
-    def __init__(self, generators: tuple[PartialString, ...]) -> None:
-        _set_slot(self, "generators", generators)
 
 
 def zero() -> Program:

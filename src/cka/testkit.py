@@ -359,11 +359,6 @@ class Law(_Frozen):
     group: str  # "pomset", "program" or "language"
     check: LawCheck
 
-    def __init__(self, name: str, group: str, check: LawCheck) -> None:
-        _set_slot(self, "name", name)
-        _set_slot(self, "group", group)
-        _set_slot(self, "check", check)
-
 
 LAWS: list[Law] = []
 
@@ -705,11 +700,6 @@ class LawResult(_Frozen):
     passes: int
     failures: int
 
-    def __init__(self, name: str, passes: int, failures: int) -> None:
-        _set_slot(self, "name", name)
-        _set_slot(self, "passes", passes)
-        _set_slot(self, "failures", failures)
-
 
 class LawReport(_Frozen):
     """Outcome of one law-suite run; text form is byte-stable per seed."""
@@ -718,11 +708,6 @@ class LawReport(_Frozen):
     seed: int
     cases: int
     results: tuple[LawResult, ...]
-
-    def __init__(self, seed: int, cases: int, results: tuple[LawResult, ...]) -> None:
-        _set_slot(self, "seed", seed)
-        _set_slot(self, "cases", cases)
-        _set_slot(self, "results", results)
 
     @property
     def ok(self) -> bool:

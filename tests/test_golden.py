@@ -7,7 +7,9 @@ or a triple: a line prefix, how many lines start with it (``events:``
 counts a star's generators) and the sha256 of the text (``None``: only
 the count is pinned).  A change that alters an output on purpose edits
 its row.  The checks that need a real process (a closed or full stdout,
-an unreadable file) are subprocess tests in ``test_cli.py``.
+an unreadable file, ``python -m cka`` and the imports a start pays for)
+are subprocess tests in ``test_cli.py``, beside in-process tests that a
+row cannot express, such as witness validity and call counts.
 """
 
 import hashlib

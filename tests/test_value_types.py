@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -21,7 +22,11 @@ from cka import (
     Zero,
     singleton,
 )
+import cka
+import cka.expr
+import cka.testkit
 from cka.expr import Token
+from cka.partial_string import _Frozen
 from cka.testkit import Law
 
 A, B = Sym("a"), One()
@@ -119,3 +124,18 @@ def test_value_types_compare_print_copy_and_refuse_writes(text, build, errors):
         with pytest.raises(ValueError) as info:
             cls(**kwargs)
         assert str(info.value) == message
+
+
+def test_every_value_type_has_a_case_and_its_fields_are_its_parameters():
+    private_bases = (cka.expr._Binary, cka.expr._Star)
+    types = {
+        value
+        for module in (cka, cka.expr, cka.testkit)
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, _Frozen)
+        and value is not _Frozen and value not in private_bases
+    }
+    covered = {case[0].partition("(")[0] for case in CASES}
+    assert {cls.__name__ for cls in types} <= covered
+    for cls in types:
+        assert tuple(inspect.signature(cls).parameters) == cls.__match_args__, cls
